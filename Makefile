@@ -25,8 +25,11 @@ fuzz:
 build:
 	$(GO) build ./...
 
+# cmd/wfbench is its own module, which ./... does not reach; vet and
+# test it explicitly (as CI does).
 test:
 	$(GO) test ./...
+	cd cmd/wfbench && $(GO) vet . && $(GO) test .
 
 race:
 	$(GO) test -race ./...
@@ -96,7 +99,7 @@ bench-hot:
 # Capture an end-to-end portfolio profile at scale through wfsched's
 # profiling flags: CPU profile (where the evaluator time goes), heap
 # profile (the per-worker arena budget), execution trace (where the
-# workers idle — the signal the work-stealing scheduler acts on).
+# workers idle — the signal the span scheduler's donation acts on).
 # Inspect with `go tool pprof` / `go tool trace`.
 PROFILE_N ?= 2000
 profile:

@@ -413,11 +413,10 @@ func BenchmarkPortfolioN100(b *testing.B) {
 // BenchmarkPortfolioN2000 is the scale point of the portfolio perf
 // trajectory: the 14-heuristic workload well past the paper's largest
 // size. It runs the engine's default (all-core) configuration — the
-// number this benchmark tracks is the work-stealing scheduler's
-// wall-clock at large n, where bound-pruning collapses the portfolio
-// to a few dominant heuristics and the steal/subdivide layer is what
-// keeps the other cores busy (results are byte-identical to workers=1,
-// which the determinism stress test pins).
+// number this benchmark tracks is the span scheduler's wall-clock at
+// large n, where donation is what keeps the cores busy behind a long
+// sweep (results are byte-identical to workers=1, which the
+// determinism stress test pins).
 func BenchmarkPortfolioN2000(b *testing.B) {
 	g, hs := benchPortfolioN(b, 2000)
 	b.ReportAllocs()
@@ -434,7 +433,7 @@ func BenchmarkPortfolioN2000(b *testing.B) {
 // point: the same workload and engine configuration at n = 600, small
 // enough for the blocking bench gate's multi-sample runs while still
 // exercising every layer the full-size benchmark does (shared factor
-// tables, pre-split cells, stealing).
+// tables, bound pruning, donation).
 func BenchmarkPortfolioN2000Short(b *testing.B) {
 	g, hs := benchPortfolioN(b, 600)
 	b.ReportAllocs()
@@ -464,9 +463,9 @@ func BenchmarkRefineN700(b *testing.B) {
 
 // BenchmarkSweepExhaustive measures one full exhaustive checkpoint-
 // count sweep (DF-CkptW, N = 1..n−1) — the paper's Section 5 hot
-// path that the incremental sweep evaluator amortizes. It exercises
-// whatever path sched's sweepApply takes, so pre/post comparisons of
-// this benchmark measure the delta fast path end to end.
+// path that the incremental sweep evaluator amortizes. It runs sched's
+// sweep kernel (sched.Kernel) over the whole range, pruning and delta
+// evaluation included.
 func BenchmarkSweepExhaustive(b *testing.B) {
 	for _, n := range []int{100, 700} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dag"
 )
 
@@ -179,18 +178,20 @@ func TestRunWorkersByteIdentical(t *testing.T) {
 }
 
 // TestRunRefineDeltaByteIdentical guards the wfserve cache-key
-// contract across the DeltaEvaluator switch: for a fixed seed set,
-// the -refine output (heuristic table, refined expectations,
-// checkpoint counts and the Monte-Carlo section keyed off the best
-// schedule) must be byte-identical whether the sweeps and the refine
-// flip neighbourhood run through the incremental fast path or through
-// cold evaluation. Any divergence means the delta evaluator is no
-// longer bit-identical to Evaluator.Eval — exactly the regression
-// that would silently poison wfserve's byte-equality cache.
+// contract on the incremental evaluator: for a fixed seed set, the
+// -refine output (heuristic table, refined expectations, checkpoint
+// counts and the Monte-Carlo section keyed off the best schedule) must
+// be byte-identical at -workers 1 and -workers 3. The sweeps and the
+// refine flip neighbourhood evaluate through pooled delta evaluators
+// whose loaded state depends on which worker ran which span, so any
+// divergence means a delta evaluation depends on its history rather
+// than only on the schedule — exactly the regression that would
+// silently poison wfserve's byte-equality cache. (core's fuzz and
+// quick differential tests pin delta == cold directly.)
 func TestRunRefineDeltaByteIdentical(t *testing.T) {
-	runRefine := func(workflow string, n int, seed uint64, grid int) string {
+	runRefine := func(workflow string, n int, seed uint64, grid, workers int) string {
 		out, err := capture(t, func() error {
-			return run(workflow, n, seed, "", 2e-3, 0, "0.1w", "all", grid, 300, 2, true, false, "")
+			return run(workflow, n, seed, "", 2e-3, 0, "0.1w", "all", grid, 300, workers, true, false, "")
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -207,17 +208,10 @@ func TestRunRefineDeltaByteIdentical(t *testing.T) {
 		{"Montage", 40, 9, 8},
 		{"Ligo", 35, 5, 0},
 	}
-	t.Cleanup(func() { core.SetDeltaPath(true) })
 	for _, c := range cases {
-		if !core.DeltaPathEnabled() {
-			t.Fatal("delta path should be enabled by default")
-		}
-		want := runRefine(c.workflow, c.n, c.seed, c.grid)
-		core.SetDeltaPath(false)
-		got := runRefine(c.workflow, c.n, c.seed, c.grid)
-		core.SetDeltaPath(true)
-		if got != want {
-			t.Fatalf("%s n=%d seed=%d: -refine output diverges between delta and cold paths:\n delta:\n%s\ncold:\n%s",
+		want := runRefine(c.workflow, c.n, c.seed, c.grid, 1)
+		if got := runRefine(c.workflow, c.n, c.seed, c.grid, 3); got != want {
+			t.Fatalf("%s n=%d seed=%d: -refine output diverges between -workers 1 and 3:\n workers 1:\n%s\nworkers 3:\n%s",
 				c.workflow, c.n, c.seed, want, got)
 		}
 		if !strings.Contains(want, "Monte-Carlo") {

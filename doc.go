@@ -45,9 +45,9 @@
 // under a canonical total order (lowest expected makespan, then
 // fewest checkpoints, then lowest strategy index / N), so the
 // winning schedule is byte-identical for any worker count and equal
-// to the serial sched.RunAll, which remains the reference path built
-// on the same primitives via sched.NSweeper. The experiment harness
-// (including the scale-* scenarios at n = 2000), the ablation
+// to the serial sched.RunAll, which remains the reference path: both
+// sweep through the one N-sweep kernel, sched.Kernel. The experiment
+// harness (including the scale-* scenarios at n = 2000), the ablation
 // studies, refinement passes (refine.ImproveWith) and the cmd
 // binaries all route their searches through the engine behind
 // -workers flags.
@@ -68,17 +68,17 @@
 // changed entries, and rebuilds the accumulator suffix with plain
 // multiplications — O(n²) amortized flops per sweep step and results
 // that are bit-identical (math.Float64bits) to a cold Evaluator.Eval,
-// so every determinism contract below survives with the fast path on
-// or off (core.SetDeltaPath). Native fuzz plus testing/quick
-// differential harnesses (internal/core), Monte-Carlo
-// cross-validation of delta-produced schedules (internal/simulator)
-// and a byte-identity regression on cmd/wfsched -refine enforce the
-// equivalence; BENCH_sweep.json records the measured speedups
-// (≥3× on BenchmarkPortfolioParallel at n = 700, ~6× on a full
-// exhaustive sweep). Sweeps opt in by declaring sched.DeltaSweepable;
-// ranked strategies and CkptPer do, refine.ImproveWith and
-// sched.CkptGreedy use it for their one-bit neighbourhoods, and
-// internal/portfolio leases the delta state with its evaluators.
+// so every determinism contract below holds on it. Native fuzz plus
+// testing/quick differential harnesses (internal/core), an exhaustive
+// cold enumeration every sweep must match (internal/sched),
+// Monte-Carlo cross-validation of delta-produced schedules
+// (internal/simulator) and a worker-count byte-identity regression on
+// cmd/wfsched -refine enforce the equivalence; BENCH_sweep.json
+// records the measured speedups (≥3× on BenchmarkPortfolioParallel at
+// n = 700, ~6× on a full exhaustive sweep). Every N-sweep evaluates
+// through it (sched.Kernel), refine.ImproveWith and sched.CkptGreedy
+// use it for their one-bit neighbourhoods, and internal/portfolio
+// leases the delta state with its evaluators.
 //
 // # Allocation discipline and bound-based pruning
 //
@@ -95,18 +95,19 @@
 // any schedule from its checkpoint mask alone (Base plus per-task
 // increments, from the monotonicity of failure.ExpectedTime), and
 // strategies expose it per checkpoint count via sched.BoundedSweeper.
-// For ranked strategies the bound is a prefix sum — monotone in N —
-// so the serial sweepApply and the portfolio cells bisect the prune
-// cutoff instead of testing every N; the parallel engine additionally
-// shares a per-heuristic atomic incumbent across cells and skips
-// whole cells whose every N is prunable. A candidate is discarded
-// only when its bound exceeds the incumbent beyond the core.PruneSlack
-// floating-point margin, so the canonical winner is bit-identical
-// with pruning on or off (core.SetPrunePath) — pinned by differential
-// harnesses in internal/sched and internal/portfolio across the four
-// DAG families, all strategies and worker counts. refine.ImproveWith
-// reuses the same bound to skip provably rejected add-checkpoint
-// flips without spending evaluation budget.
+// The sweep kernel skips each N whose bound is prunable against an
+// incumbent (core.Prunable); the parallel engine shares a
+// per-heuristic atomic incumbent across its cells, and a span whose
+// every N is prunable returns before building a masker. A candidate
+// is discarded only when its bound exceeds the incumbent beyond the
+// core.PruneSlack floating-point margin, so the canonical winner is
+// bit-identical to the unpruned sweep — pinned by differential
+// harnesses in internal/sched, internal/portfolio and internal/refine
+// against in-package references (the kernel with no incumbent, an
+// exhaustive cold enumeration, the climb with no bound) across the
+// four DAG families, all strategies and worker counts.
+// refine.ImproveWith reuses the same bound to skip provably rejected
+// add-checkpoint flips without spending evaluation budget.
 //
 // # Benchmark methodology and the regression gate
 //

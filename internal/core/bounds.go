@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/dag"
 	"repro/internal/failure"
 )
@@ -61,8 +59,7 @@ func NewMaskBound(g *dag.Graph, p failure.Platform) *MaskBound {
 		base := p.ExpectedTime(w, 0, 0)
 		mb.Base += base
 		// ExpectedTime is monotone in c so the true increment is ≥ 0;
-		// clamp the one-rounding computed difference to keep every
-		// derived prefix sum provably monotone.
+		// clamp the one-rounding computed difference to ≥ 0 as well.
 		if inc := p.ExpectedTime(w, g.CkptCost(i), 0) - base; inc > 0 {
 			mb.Inc[i] = inc
 		}
@@ -94,23 +91,16 @@ func (mb *MaskBound) Of(mask []bool) float64 {
 // candidates within one part in 10⁹ of the cutoff.
 const PruneSlack = 1e-9
 
-// prunePathOff globally disables bound-based pruning of the N-sweeps
-// and refine's flip neighbourhood (everything is evaluated). Results
-// are bit-identical either way — pruning discards only candidates
-// whose lower bound proves they lose to an already-evaluated one —
-// and the pruned-vs-unpruned differential harnesses flip this switch
-// to prove exactly that; like the delta-path gate it exists for tests
-// and A/B timing, not correctness.
-var prunePathOff atomic.Bool
-
-// PrunePathEnabled reports whether bound-based pruning is enabled
-// (the default).
-func PrunePathEnabled() bool { return !prunePathOff.Load() }
-
-// SetPrunePath enables or disables bound-based pruning and returns
-// the previous setting. Intended for tests and A/B benchmarks.
-func SetPrunePath(on bool) (prev bool) {
-	return !prunePathOff.Swap(!on)
+// Prunable reports whether a candidate with the given lower bound
+// provably loses to an incumbent with the given expected makespan:
+// even after discounting the bound by the PruneSlack floating-point
+// margin it still strictly exceeds the incumbent, so the candidate's
+// computed value would too (and a strictly larger value loses under
+// sched.CanonicalBetter before any tie-break). An infinite incumbent
+// (no candidate evaluated yet) prunes nothing. The N-sweep kernel and
+// refine's flip neighbourhood both prune through it.
+func Prunable(bound, incumbent float64) bool {
+	return bound*(1-PruneSlack) > incumbent
 }
 
 // Ratio helpers for reporting.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -66,5 +67,21 @@ func TestGapUpperBound(t *testing.T) {
 	}
 	if GapUpperBound(dag.New(), plat, 1) != 0 {
 		t.Fatal("degenerate LB should yield zero gap")
+	}
+}
+
+// TestPrunableSemantics pins the slack arithmetic on its edges.
+func TestPrunableSemantics(t *testing.T) {
+	if Prunable(1, math.Inf(1)) {
+		t.Fatal("infinite incumbent must prune nothing")
+	}
+	if Prunable(5, 5) {
+		t.Fatal("bound equal to incumbent must not prune (ties are wins)")
+	}
+	if Prunable(5*(1+PruneSlack/2), 5) {
+		t.Fatal("bound within the slack margin must not prune")
+	}
+	if !Prunable(5*(1+3*PruneSlack), 5) {
+		t.Fatal("bound clearly above the incumbent must prune")
 	}
 }

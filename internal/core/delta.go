@@ -4,29 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/dag"
 	"repro/internal/failure"
 )
-
-// deltaPathOff globally disables the delta fast paths wired through
-// sched, refine and portfolio (they fall back to cold evaluation).
-// Results are bit-identical either way — that equivalence is exactly
-// what the before/after regression tests flip this switch to prove —
-// so the knob exists for tests and A/B timing, not for correctness.
-var deltaPathOff atomic.Bool
-
-// DeltaPathEnabled reports whether the engines' delta fast paths are
-// enabled (the default).
-func DeltaPathEnabled() bool { return !deltaPathOff.Load() }
-
-// SetDeltaPath enables or disables the delta fast paths and returns
-// the previous setting. Intended for tests (byte-identity regressions,
-// A/B benchmarks); flipping it mid-run is safe but pointless.
-func SetDeltaPath(on bool) (prev bool) {
-	return !deltaPathOff.Swap(!on)
-}
 
 // DeltaEvaluator is the incremental companion of Evaluator: it keeps
 // the full Theorem-3 state of the last evaluated schedule — the
@@ -166,20 +147,6 @@ func (e *Evaluator) Delta() *DeltaEvaluator {
 		e.delta.cold = e
 	}
 	return e.delta
-}
-
-// EvalPoint returns the evaluation function engines should call for
-// repeated evaluations of schedules that differ by a few checkpoint
-// bits (sweep points, flip neighbourhoods): the evaluator's
-// incremental companion when the delta fast path is enabled, cold
-// evaluation otherwise. Both produce bit-identical values; only the
-// cost differs. This is the single gate every delta consumer
-// (sched's sweeps, refine, greedy insertion) routes through.
-func (e *Evaluator) EvalPoint() func(*Schedule, failure.Platform) float64 {
-	if DeltaPathEnabled() {
-		return e.Delta().EvalSchedule
-	}
-	return func(s *Schedule, p failure.Platform) float64 { return e.Eval(s, p) }
 }
 
 // EvalSchedule computes the expected makespan of s on platform p,

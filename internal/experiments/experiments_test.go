@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/pwg"
 )
@@ -185,39 +184,6 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		for j := range a.Series[i].Y {
 			if a.Series[i].Y[j] != b.Series[i].Y[j] {
 				t.Fatalf("series %s diverges across worker counts", a.Series[i].Name)
-			}
-		}
-	}
-}
-
-// TestRunDeltaPathIdentical pins the harness-level leg of the
-// incremental-evaluator contract: a figure regenerated with the delta
-// fast path disabled must match the default (delta-enabled) run to
-// the last bit, including on a scale-style checkpoint-impact spec
-// whose ranked sweeps are exactly the delta evaluator's hot path.
-func TestRunDeltaPathIdentical(t *testing.T) {
-	if !core.DeltaPathEnabled() {
-		t.Fatal("delta path should be enabled by default")
-	}
-	spec, err := SpecByID("fig3a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Run(spec, fastCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.SetDeltaPath(false)
-	b, err := Run(spec, fastCfg)
-	core.SetDeltaPath(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Series {
-		for j := range a.Series[i].Y {
-			if math.Float64bits(a.Series[i].Y[j]) != math.Float64bits(b.Series[i].Y[j]) {
-				t.Fatalf("series %s point %d diverges between delta and cold paths: %v vs %v",
-					a.Series[i].Name, j, a.Series[i].Y[j], b.Series[i].Y[j])
 			}
 		}
 	}

@@ -15,16 +15,17 @@
 // Mirroring internal/mc, the result is bit-identical for every
 // Workers value. Each cell is a pure function of its inputs: it
 // evaluates a fixed slice of one heuristic's N sweep with its own
-// evaluator and reports the best (expected makespan, checkpoint
-// count, N) candidate under sched.CanonicalBetter — a total order
-// (lower makespan, then fewer checkpoints, then lower N / heuristic
-// index), so reducing any partition of the candidates yields the same
-// winner regardless of which worker ran which cell or in which order
-// cells finished. The serial path is the same machinery with one
-// worker, and Run with any worker count returns exactly what
-// sched.RunAll returns (sweepApply shares the cell primitives), so
-// schedules and expected makespans are byte-identical across worker
-// counts — enforced by this package's property-based tests.
+// evaluator through sched.Kernel and reports the best (expected
+// makespan, checkpoint count, N) candidate under
+// sched.CanonicalBetter — a total order (lower makespan, then fewer
+// checkpoints, then lower N / heuristic index), so reducing any
+// partition of the candidates yields the same winner regardless of
+// which worker ran which cell or in which order cells finished. The
+// serial path is the same machinery with one worker, and Run with any
+// worker count returns exactly what sched.RunAll returns (its
+// sweepApply calls the same kernel), so schedules and expected
+// makespans are byte-identical across worker counts — enforced by
+// this package's property-based tests.
 //
 // # Optimality
 //
@@ -38,7 +39,6 @@
 package portfolio
 
 import (
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -75,41 +75,11 @@ type Options struct {
 	RefineMaxEvals int
 }
 
-// cellBest is one cell's winning candidate.
-type cellBest struct {
-	val   float64
-	n     int            // winning sweep count (-1: none / opaque strategy)
-	k     int            // checkpoints actually set
-	mask  []bool         // sweep cells: winning checkpoint mask
-	sched *core.Schedule // opaque cells: ready schedule from Apply
-}
-
-// better reports whether candidate b beats a under the canonical
-// order (sweep index = N).
-func (a *cellBest) better(b *cellBest) bool {
-	return sched.CanonicalBetter(b.val, b.k, b.n, a.val, a.k, a.n)
-}
-
-// merge folds cell candidate b into the per-heuristic best a.
-func (a *cellBest) merge(b *cellBest) {
-	if a.better(b) {
-		*a = *b
-	}
-}
-
-// cell is one unit of parallel work: a slice of heuristic h's N
-// sweep, or (ns == nil) one opaque Strategy.Apply call.
-type cell struct {
-	h  int
-	ns []int
-}
-
 // Run evaluates every heuristic of hs on workflow g and platform plat
 // and returns per-heuristic results in input order, exactly equal to
 // sched.RunAll's output (plus refinement when Options.Refine is set)
 // for every worker count. Pick the overall winner with Best.
 func Run(hs []sched.Heuristic, g *dag.Graph, plat failure.Platform, opt Options) []sched.Result {
-	n := g.N()
 	tinf := g.TotalWeight()
 	chunk := opt.ChunkSize
 	if chunk <= 0 {
@@ -122,114 +92,67 @@ func Run(hs []sched.Heuristic, g *dag.Graph, plat failure.Platform, opt Options)
 	// — so no pooled worker recomputes the instance's transcendentals.
 	pool.table = core.NewFactorTable(g, plat)
 
-	// Linearizations are cheap (O(n log n)) and deterministic; compute
-	// them once up front so every cell of a heuristic shares one order
-	// slice (cells only read it).
+	// Linearizations and sweep kernels are cheap (O(n log n)) and
+	// deterministic; build them once up front so every cell of a
+	// heuristic shares them (cells only read them). Each heuristic
+	// prunes against its own shared incumbent — never a
+	// cross-heuristic one — because Run reports every heuristic's own
+	// canonical winner, not just the portfolio's.
 	orders := make([][]int, len(hs))
-	sweeps := make([][]int, len(hs)) // nil: opaque strategy, run Apply whole
-	// Sweep lower bounds (nil: strategy has none, or pruning is off)
-	// and the shared per-heuristic incumbents they prune against. The
-	// incumbent is per heuristic — never cross-heuristic — because Run
-	// reports every heuristic's own canonical winner, not just the
-	// portfolio's.
-	bounds := make([]func(int) float64, len(hs))
-	monos := make([]bool, len(hs))
-	incs := make([]incumbent, len(hs))
+	kernels := make([]*sched.Kernel, len(hs)) // nil: opaque strategy, run Apply whole
+	incs := make([]*sched.Incumbent, len(hs))
 	for i, h := range hs {
-		incs[i].reset()
 		orders[i] = h.Lin.Linearize(g)
+		incs[i] = sched.NewIncumbent()
 		if sw, ok := h.Strat.(sched.NSweeper); ok {
-			if ns := sw.Sweep(n); len(ns) > 0 {
-				sweeps[i] = ns
-				bounds[i], monos[i] = sched.SweepBounder(sw, g, plat, orders[i])
+			if k := sched.NewKernel(sw, g, plat, orders[i]); len(k.Stage1()) > 0 {
+				kernels[i] = k
 			}
 		}
 	}
 
-	best := make([]cellBest, len(hs))
+	best := make([]sched.Candidate, len(hs))
 	for i := range best {
-		best[i] = cellBest{val: math.Inf(1), n: -1}
+		best[i] = sched.NoCandidate()
 	}
+	opaque := make([]*core.Schedule, len(hs))
 
 	// Stage 1: the first-stage sweeps (and every opaque strategy),
-	// chunked into cells.
-	var cells []cell
-	for i := range hs {
-		if sweeps[i] == nil {
-			cells = append(cells, cell{h: i})
+	// chunked into spans.
+	var spans []span
+	for i, k := range kernels {
+		if k == nil {
+			spans = append(spans, span{h: i, key: -1})
 			continue
 		}
-		for lo := 0; lo < len(sweeps[i]); lo += chunk {
-			hi := lo + chunk
-			if hi > len(sweeps[i]) {
-				hi = len(sweeps[i])
-			}
-			cells = append(cells, cell{h: i, ns: sweeps[i][lo:hi]})
-		}
+		spans = chunks(spans, i, k.Stage1(), chunk)
 	}
-	runCells(pool, opt.Workers, cells, hs, g, plat, orders, bounds, incs, best)
+	runSpans(pool, opt.Workers, spans, hs, g, plat, orders, kernels, incs, best, opaque)
 
 	// Stage 2: grid sweeps exhaustively scan the gap around their
-	// first-stage winner (sched's sweepApply does the same serially).
-	// The scan range depends on every stage-1 cell of the heuristic,
-	// hence the barrier between the stages.
-	cells = cells[:0]
-	for i := range hs {
-		if sweeps[i] == nil {
-			continue
-		}
-		sw := hs[i].Strat.(sched.NSweeper)
-		lo, hi := sw.SecondStage(n, best[i].n, sweeps[i])
-		if lo > hi {
-			continue
-		}
-		// With a monotone bound the counts pruned by the (now final)
-		// stage-1 incumbent form a suffix of [lo, hi]: bisect the
-		// largest count still worth scanning and drop the rest before
-		// chunking, so whole provably-losing chunks are never built.
-		// This truncation depends only on barrier-synchronized state,
-		// so the cell set is identical for every worker count.
-		if bounds[i] != nil && monos[i] {
-			hi = lo + sort.Search(hi-lo+1, func(x int) bool {
-				return sched.Prunable(bounds[i](lo+x), best[i].val)
-			}) - 1
-			if lo > hi {
-				continue
-			}
-		}
-		// Descending, mirroring sweepApply: the masks nearest the
-		// first stage's end come first, which keeps the incremental
-		// evaluators' diffs small when a worker picks up consecutive
-		// cells (the candidate set, and hence the winner, is
-		// order-independent).
-		var ns []int
-		for N := hi; N >= lo; N-- {
-			if N != best[i].n {
-				ns = append(ns, N)
-			}
-		}
-		for c := 0; c < len(ns); c += chunk {
-			e := c + chunk
-			if e > len(ns) {
-				e = len(ns)
-			}
-			cells = append(cells, cell{h: i, ns: ns[c:e]})
+	// first-stage winner, as sched's serial sweepApply does. The scan
+	// range depends on every stage-1 span of the heuristic, hence the
+	// barrier between the stages.
+	spans = spans[:0]
+	for i, k := range kernels {
+		if k != nil {
+			spans = chunks(spans, i, k.Stage2(best[i].N), chunk)
 		}
 	}
-	runCells(pool, opt.Workers, cells, hs, g, plat, orders, bounds, incs, best)
+	runSpans(pool, opt.Workers, spans, hs, g, plat, orders, kernels, incs, best, opaque)
 
 	// Assemble per-heuristic results in input order.
 	out := make([]sched.Result, len(hs))
 	for i, h := range hs {
-		s := best[i].sched
+		s := opaque[i]
 		if s == nil {
-			s = &core.Schedule{Graph: g, Order: orders[i], Ckpt: best[i].mask}
+			s = &core.Schedule{Graph: g, Order: orders[i], Ckpt: best[i].Mask}
 		}
 		ratio := 0.0
 		if tinf > 0 {
-			ratio = best[i].val / tinf
+			ratio = best[i].Val / tinf
 		}
-		out[i] = sched.Result{Name: h.Name(), Schedule: s, Expected: best[i].val, Ratio: ratio}
+		out[i] = sched.Result{Name: h.Name(), Schedule: s, Expected: best[i].Val, Ratio: ratio}
 	}
 
 	// Optional refinement pass: hill-climb every heuristic's winner,
@@ -251,17 +174,30 @@ func Run(hs []sched.Heuristic, g *dag.Graph, plat failure.Platform, opt Options)
 	return out
 }
 
-// spanResult pairs a completed span's candidate with its reduction
-// key. Completion order varies with the steal schedule; the keys make
-// the fold order canonical.
-type spanResult struct {
-	h, key int
-	best   cellBest
+// chunks appends heuristic h's counts ns to spans in slices of at
+// most size values.
+func chunks(spans []span, h int, ns []int, size int) []span {
+	for lo := 0; lo < len(ns); lo += size {
+		hi := min(lo+size, len(ns))
+		spans = append(spans, span{h: h, ns: ns[lo:hi], key: ns[lo]})
+	}
+	return spans
 }
 
-// runCells evaluates a batch of cells through the work-stealing
-// scheduler (steal.go) and merges the candidates into each
-// heuristic's running best.
+// spanResult pairs a completed span's candidate with its reduction
+// key. Completion order varies with donation; the keys make the fold
+// order canonical.
+type spanResult struct {
+	h, key int
+	best   sched.Candidate
+	s      *core.Schedule // opaque spans: the schedule Apply returned
+}
+
+// runSpans evaluates a batch of spans through the donating scheduler
+// (queue.go) and merges the candidates into each heuristic's running
+// best. Sweep spans run the heuristic's kernel against its shared
+// incumbent; between evaluations a span hands the back half of its
+// unevaluated counts to the scheduler whenever a worker is starving.
 //
 // The reduction is a canonical ordered fold: completed spans are
 // collected with their (heuristic, N-range) keys, sorted, and merged
@@ -269,26 +205,19 @@ type spanResult struct {
 // sort is not needed for correctness — but it makes the merge tree
 // visibly independent of completion order, and it keeps the contract
 // robust should the comparator ever lose totality.
-func runCells(pool *evalPool, workers int, cells []cell, hs []sched.Heuristic,
-	g *dag.Graph, plat failure.Platform, orders [][]int,
-	bounds []func(int) float64, incs []incumbent, best []cellBest) {
-	if len(cells) == 0 {
+func runSpans(pool *evalPool, workers int, spans []span, hs []sched.Heuristic,
+	g *dag.Graph, plat failure.Platform, orders [][]int, kernels []*sched.Kernel,
+	incs []*sched.Incumbent, best []sched.Candidate, opaque []*core.Schedule) {
+	if len(spans) == 0 {
 		return
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	spans := make([]span, 0, len(cells))
-	for _, c := range cells {
-		spans = append(spans, span{h: c.h, ns: c.ns, key: spanKey(c.ns)})
-	}
-	if workers > 1 {
-		spans = presplit(spans, workers)
-	}
 	if workers > len(spans) {
 		workers = len(spans)
 	}
-	q := newStealScheduler(spans)
+	q := newSpanQueue(spans)
 
 	var (
 		resMu   sync.Mutex
@@ -303,23 +232,29 @@ func runCells(pool *evalPool, workers int, cells []cell, hs []sched.Heuristic,
 			if testSpanDelay != nil {
 				testSpanDelay(sp.h, sp.key)
 			}
-			var r cellBest
-			if sp.ns == nil {
+			r := spanResult{h: sp.h, key: sp.key}
+			if k := kernels[sp.h]; k == nil {
 				s, v := hs[sp.h].Strat.Apply(g, plat, orders[sp.h], ev)
-				r = cellBest{val: v, n: -1, k: s.NumCheckpointed(), sched: s}
+				r.best = sched.Candidate{Val: v, K: s.NumCheckpointed(), N: -1}
+				r.s = s
 			} else {
-				r = sweepCell(hs[sp.h].Strat.(sched.NSweeper), g, plat, orders[sp.h], sp, ev,
-					bounds[sp.h], &incs[sp.h], q)
+				r.best = k.Span(sp.ns, ev, incs[sp.h], func(back []int) bool {
+					if len(back) < minSpan || !q.starving() {
+						return false
+					}
+					q.donate(span{h: sp.h, ns: back, key: back[0]})
+					return true
+				})
 			}
 			resMu.Lock()
-			results = append(results, spanResult{h: sp.h, key: sp.key, best: r})
+			results = append(results, r)
 			resMu.Unlock()
 			q.finish()
 		}
 	}
 	if workers == 1 {
 		// Serial path: same scheduler and lease discipline, no
-		// goroutines (and no stealing — nobody is ever starving).
+		// goroutines (and no donation — nobody is ever starving).
 		ev := pool.get()
 		worker(ev)
 		pool.put(ev)
@@ -343,106 +278,15 @@ func runCells(pool *evalPool, workers int, cells []cell, hs []sched.Heuristic,
 		}
 		return results[a].key < results[b].key
 	})
-	for i := range results {
-		best[results[i].h].merge(&results[i].best)
+	for _, r := range results {
+		best[r.h].Merge(r.best)
+		if r.s != nil {
+			opaque[r.h] = r.s
+		}
 	}
 }
 
-// sweepCell evaluates one slice of an NSweeper's checkpoint-count
-// sweep and returns the slice's best candidate. Strategies that
-// declare sched.DeltaSweepable evaluate through the leased
-// evaluator's incremental companion: inside a cell consecutive N
-// share most mask bits, and across cells of the same heuristic the
-// companion's loaded state often still matches (the orders slice is
-// shared), so whichever worker picks the cell up pays only for the
-// mask diff. The values are bit-identical to cold evaluation either
-// way, so the worker-count determinism contract is untouched by this
-// purely opportunistic reuse.
-//
-// When the strategy has a sweep lower bound, candidates whose bound
-// proves they lose to the heuristic's shared incumbent are skipped —
-// whole cells before the masker is even built when every count in the
-// slice is prunable. Which candidates get pruned depends on how cells
-// interleave across workers, but a pruned candidate is *provably*
-// beaten by an already-evaluated one of the same heuristic, so the
-// merged per-heuristic winner — and everything downstream — is
-// bit-identical for every worker count and to pruning disabled
-// (pinned by this package's differential test).
-//
-// Between evaluations the cell checks whether any worker is starving
-// and, if so, donates the unevaluated back half of its range to the
-// scheduler — the work-stealing leg (see steal.go). Donating moves
-// candidates to another worker; it never changes them, so the
-// determinism argument above is untouched.
-func sweepCell(sw sched.NSweeper, g *dag.Graph, plat failure.Platform, order []int, sp span, ev *core.Evaluator,
-	bound func(int) float64, inc *incumbent, q *stealScheduler) cellBest {
-	ns := sp.ns
-	best := cellBest{val: math.Inf(1), n: -1}
-	cur := math.Inf(1)
-	if inc != nil {
-		cur = inc.load()
-	}
-	if bound != nil {
-		pruned := true
-		for _, N := range ns {
-			if !sched.Prunable(bound(N), cur) {
-				pruned = false
-				break
-			}
-		}
-		if pruned {
-			return best
-		}
-	}
-	masker := sw.NewMasker(g, order)
-	mask := make([]bool, g.N())
-	s := &core.Schedule{Graph: g, Order: order, Ckpt: mask}
-	evalPoint := sched.SweepEvaluator(sw, ev)
-	for idx := 0; idx < len(ns); idx++ {
-		if q != nil && len(ns)-idx >= 2*minSpan && q.starving() {
-			rest := span{h: sp.h, ns: ns[idx:]}
-			keep, give := rest.split()
-			q.donate(give)
-			ns = ns[:idx+len(keep.ns)]
-		}
-		N := ns[idx]
-		if bound != nil {
-			if c := inc.load(); c < cur {
-				cur = c
-			}
-			if sched.Prunable(bound(N), cur) {
-				continue
-			}
-		}
-		masker(N, mask)
-		v := evalPoint(s, plat)
-		k := s.NumCheckpointed()
-		if sched.CanonicalBetter(v, k, N, best.val, best.k, best.n) {
-			best.val, best.k, best.n = v, k, N
-			best.mask = append(best.mask[:0], mask...)
-		}
-		if inc != nil && v < cur {
-			cur = v
-			inc.min(v)
-		}
-	}
-	return best
-}
-
-// Best returns the canonical winner of a portfolio run: best expected
-// makespan, then fewest checkpoints, then lowest heuristic index —
-// the cross-heuristic leg of the determinism contract.
-func Best(results []sched.Result) sched.Result {
-	if len(results) == 0 {
-		panic("portfolio: Best of empty results")
-	}
-	bi := 0
-	for i := 1; i < len(results); i++ {
-		if sched.CanonicalBetter(
-			results[i].Expected, results[i].Schedule.NumCheckpointed(), i,
-			results[bi].Expected, results[bi].Schedule.NumCheckpointed(), bi) {
-			bi = i
-		}
-	}
-	return results[bi]
-}
+// Best returns sched.Best(results): the canonical winner of a
+// portfolio run — best expected makespan, then fewest checkpoints,
+// then lowest heuristic index.
+func Best(results []sched.Result) sched.Result { return sched.Best(results) }

@@ -1,24 +1,45 @@
 package portfolio
 
 import (
-	"math"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dag"
+	"repro/internal/failure"
 	"repro/internal/pwg"
+	"repro/internal/refine"
 	"repro/internal/sched"
 )
 
+// unprunedRun is the serial reference of the engine with pruning
+// absent: every heuristic's sweep through its kernel with no
+// incumbent, both stages, on one evaluator; opaque strategies Apply.
+func unprunedRun(hs []sched.Heuristic, g *dag.Graph, p failure.Platform) []sched.Result {
+	ev := core.NewEvaluator()
+	out := make([]sched.Result, len(hs))
+	for i, h := range hs {
+		order := h.Lin.Linearize(g)
+		sw, ok := h.Strat.(sched.NSweeper)
+		if !ok || len(sw.Sweep(g.N())) == 0 {
+			out[i] = h.RunWith(g, p, ev)
+			continue
+		}
+		k := sched.NewKernel(sw, g, p, order)
+		best := k.Span(k.Stage1(), ev, nil, nil)
+		best.Merge(k.Span(k.Stage2(best.N), ev, nil, nil))
+		out[i] = sched.Result{Name: h.Name(), Expected: best.Val,
+			Schedule: &core.Schedule{Graph: g, Order: order, Ckpt: best.Mask}}
+	}
+	return out
+}
+
 // The parallel engine with bound pruning — shared per-heuristic
-// incumbents, whole-cell skips, the bisected stage-2 truncation — must
-// return exactly what the engine returns with pruning disabled, for
-// every worker count and chunking, with and without refinement. This
-// is the portfolio layer of the pruning differential harness (the
-// serial layer lives in internal/sched).
+// incumbents and whole-span skips — must return exactly what the
+// unpruned serial reference returns, for every worker count and
+// chunking. This is the portfolio layer of the pruning differential
+// harness (the serial layer lives in internal/sched).
 func TestPrunedRunBitIdentical(t *testing.T) {
-	defer core.SetPrunePath(core.SetPrunePath(false))
 	for _, tc := range []struct {
 		wf   pwg.Workflow
 		n    int
@@ -33,9 +54,7 @@ func TestPrunedRunBitIdentical(t *testing.T) {
 	} {
 		g := testGraph(t, tc.wf, tc.n, tc.seed)
 		hs := sched.Paper14(sched.Options{RFSeed: 11, Grid: tc.grid})
-		core.SetPrunePath(false)
-		want := fingerprint(sched.RunAll(hs, g, plat))
-		core.SetPrunePath(true)
+		want := fingerprint(unprunedRun(hs, g, plat))
 		for _, workers := range []int{1, 2, runtime.NumCPU()} {
 			for _, chunk := range []int{0, 1, 1000} {
 				rs := Run(hs, g, plat, Options{Workers: workers, ChunkSize: chunk})
@@ -48,59 +67,34 @@ func TestPrunedRunBitIdentical(t *testing.T) {
 	}
 }
 
-// Refinement rides on the same prune gate (flip-candidate skips): the
-// refined portfolio must stay worker-count deterministic with pruning
-// on, and pruning must never yield a worse refined result than the
-// unpruned climb (skipped candidates are provably-rejected ones, so
-// the pruned climb's accepted-move sequence extends the unpruned
-// one's).
+// Refinement prunes provably rejected flip candidates (refine's own
+// harness pins that the pruned climb is never worse than the unpruned
+// one). Here the refined portfolio must equal its serial reference —
+// sched.RunAll, then refine.ImproveWith of every result, kept when it
+// improves — for every worker count, and never be worse than the
+// unrefined portfolio.
 func TestPrunedRefineDeterministicAndNeverWorse(t *testing.T) {
-	defer core.SetPrunePath(core.SetPrunePath(false))
 	g := testGraph(t, pwg.CyberShake, 40, 9)
 	hs := sched.Paper14(sched.Options{RFSeed: 2})
-	opt := Options{Workers: 1, Refine: true, RefineMaxEvals: 500}
+	ropt := refine.Options{MaxEvals: 500}
 
-	core.SetPrunePath(false)
-	unpruned := Run(hs, g, plat, opt)
-	core.SetPrunePath(true)
-	pruned1 := Run(hs, g, plat, opt)
-	prunedN := Run(hs, g, plat, Options{Workers: runtime.NumCPU(), Refine: true, RefineMaxEvals: 500})
-
-	if got, want := fingerprint(prunedN), fingerprint(pruned1); got != want {
-		t.Fatalf("pruned refined results depend on worker count:\n got %s\nwant %s", got, want)
-	}
-	for i := range unpruned {
-		if pruned1[i].Expected > unpruned[i].Expected {
-			t.Fatalf("%s: pruning worsened the refined result %v -> %v",
-				unpruned[i].Name, unpruned[i].Expected, pruned1[i].Expected)
+	ev := core.NewEvaluator()
+	unrefined := sched.RunAll(hs, g, plat)
+	want := make([]sched.Result, len(unrefined))
+	for i, r := range unrefined {
+		want[i] = r
+		if res := refine.ImproveWith(r.Schedule, plat, ropt, ev); res.Expected < r.Expected {
+			want[i].Schedule, want[i].Expected = res.Schedule, res.Expected
+		}
+		if want[i].Expected > r.Expected {
+			t.Fatalf("%s: refinement worsened %v -> %v", r.Name, r.Expected, want[i].Expected)
 		}
 	}
-}
-
-// The shared incumbent must be monotone under concurrent updates and
-// never lose a lower value.
-func TestIncumbentConcurrentMin(t *testing.T) {
-	var in incumbent
-	in.reset()
-	if !math.IsInf(in.load(), 1) {
-		t.Fatalf("reset floor = %v, want +Inf", in.load())
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				in.min(float64(1 + (i*7+w*13)%997))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := in.load(); got != 1 {
-		t.Fatalf("concurrent min floor = %v, want 1", got)
-	}
-	in.min(5)
-	if got := in.load(); got != 1 {
-		t.Fatalf("min with larger value moved the floor to %v", got)
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		got := Run(hs, g, plat, Options{Workers: workers, Refine: true, RefineMaxEvals: ropt.MaxEvals})
+		if fingerprint(got) != fingerprint(want) {
+			t.Fatalf("workers=%d: refined portfolio diverged from the serial reference:\n got %s\nwant %s",
+				workers, fingerprint(got), fingerprint(want))
+		}
 	}
 }

@@ -53,6 +53,21 @@ func Improve(s *core.Schedule, plat failure.Platform, opt Options) Result {
 // runs it. The evaluator must be owned by the calling goroutine for
 // the duration of the call.
 func ImproveWith(s *core.Schedule, plat failure.Platform, opt Options, ev *core.Evaluator) Result {
+	return improve(s, plat, opt, ev, core.NewMaskBound(s.Graph, plat))
+}
+
+// improve is ImproveWith's climb. mb drives bound-based candidate
+// pruning: a flip that *adds* a checkpoint raises the schedule's
+// core.MaskBound by the task's increment, and when even that lower
+// bound is prunable against the current best (core.Prunable) the
+// candidate is provably rejected, so the O(n²) evaluation is skipped
+// without spending budget. Skipped candidates cannot change the
+// climb's accept decisions (they would have been rejected), so the
+// search stays deterministic; the unspent budget lets the climb probe
+// further, so the result is never worse than the unpruned climb
+// (mb == nil). Removing a checkpoint lowers the bound — those
+// candidates always evaluate.
+func improve(s *core.Schedule, plat failure.Platform, opt Options, ev *core.Evaluator, mb *core.MaskBound) Result {
 	cur := s.Clone()
 	n := cur.Graph.N()
 	budget := opt.MaxEvals
@@ -65,30 +80,14 @@ func ImproveWith(s *core.Schedule, plat failure.Platform, opt Options, ev *core.
 	// paper's large sizes). Swap candidates change the linearization,
 	// which would force the incremental evaluator to reload its O(n²)
 	// caches per candidate, so the order neighbourhood keeps the cold
-	// evaluator. Both produce bit-identical values, so the climb's
-	// trajectory — every accept/reject decision, the final schedule
-	// and its expected makespan — is byte-identical whichever path is
-	// enabled (the cmd/wfsched regression test pins this).
-	flipEval := ev.EvalPoint()
+	// evaluator. Both produce bit-identical values, so every
+	// accept/reject decision is the same either way.
+	flipEval := ev.Delta().EvalSchedule
 	res := Result{Start: ev.Eval(cur, plat)}
 	res.Evals = 1
 	best := res.Start
-
-	// Bound-based candidate pruning (core.SetPrunePath gates it, like
-	// the sweeps'): a flip that *adds* a checkpoint raises the
-	// schedule's core.MaskBound by the task's increment, and when even
-	// that lower bound exceeds the current best — beyond the PruneSlack
-	// floating-point margin — the candidate is provably rejected, so
-	// the O(n²) evaluation is skipped without spending budget. Skipped
-	// candidates cannot change the climb's accept decisions (they would
-	// have been rejected), so the search stays deterministic; the
-	// unspent budget lets the climb probe further, so the result is
-	// never worse than without pruning. Removing a checkpoint lowers
-	// the bound — those candidates always evaluate.
-	var mb *core.MaskBound
 	curLB := 0.0
-	if core.PrunePathEnabled() {
-		mb = core.NewMaskBound(cur.Graph, plat)
+	if mb != nil {
 		curLB = mb.Of(cur.Ckpt)
 	}
 
@@ -97,8 +96,7 @@ func ImproveWith(s *core.Schedule, plat failure.Platform, opt Options, ev *core.
 		improved = false
 		// Neighbourhood 1: checkpoint flips.
 		for id := 0; id < n && res.Evals < budget; id++ {
-			if mb != nil && !cur.Ckpt[id] &&
-				(curLB+mb.Inc[id])*(1-core.PruneSlack) > best {
+			if mb != nil && !cur.Ckpt[id] && core.Prunable(curLB+mb.Inc[id], best) {
 				continue // provably rejected: v ≥ bound > best
 			}
 			cur.Ckpt[id] = !cur.Ckpt[id]

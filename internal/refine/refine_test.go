@@ -1,6 +1,8 @@
 package refine
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -157,5 +159,33 @@ func TestImproveOnGeneratedWorkflow(t *testing.T) {
 	res := Improve(base.Schedule, p, Options{MaxEvals: 2000})
 	if res.Expected > base.Expected+1e-9 {
 		t.Fatalf("refinement worsened a Montage schedule: %v → %v", base.Expected, res.Expected)
+	}
+}
+
+// The pruning differential harness for refinement: the bound-pruned
+// climb (ImproveWith) against the same climb with no bound. Pruning
+// skips only provably rejected flips, so while the unpruned climb
+// stays within its budget both climbs accept the same moves and end
+// on the same schedule, bit for bit; when the budget binds, the pruned
+// climb's unspent evaluations can only take it further.
+func TestPrunedClimbNeverWorse(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		s := randomSchedule(seed, 8+int(seed%17))
+		for _, opt := range []Options{{}, {MaxEvals: 25}, {CkptOnly: true}} {
+			pruned := ImproveWith(s, plat, opt, core.NewEvaluator())
+			unpruned := improve(s, plat, opt, core.NewEvaluator(), nil)
+			budget := opt.MaxEvals
+			if budget <= 0 {
+				budget = 50 * s.Graph.N()
+			}
+			if unpruned.Evals < budget {
+				if math.Float64bits(pruned.Expected) != math.Float64bits(unpruned.Expected) ||
+					fmt.Sprint(pruned.Schedule.Order, pruned.Schedule.Ckpt) != fmt.Sprint(unpruned.Schedule.Order, unpruned.Schedule.Ckpt) {
+					t.Fatalf("seed %d %+v: pruned climb %v diverged from unpruned %v", seed, opt, pruned.Expected, unpruned.Expected)
+				}
+			} else if pruned.Expected > unpruned.Expected {
+				t.Fatalf("seed %d %+v: pruning worsened the climb %v -> %v", seed, opt, unpruned.Expected, pruned.Expected)
+			}
+		}
 	}
 }

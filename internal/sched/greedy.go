@@ -40,10 +40,9 @@ func (c CkptGreedy) Apply(g *dag.Graph, plat failure.Platform, order []int, ev *
 	mask := make([]bool, n)
 	s := &core.Schedule{Graph: g, Order: order, Ckpt: mask}
 	// Every probe below toggles a single checkpoint bit — exactly the
-	// access pattern the incremental evaluator amortizes. Cold
-	// evaluation produces bit-identical values when the fast path is
-	// disabled.
-	evalPoint := ev.EvalPoint()
+	// access pattern the incremental evaluator amortizes, with values
+	// bit-identical to cold evaluation.
+	evalPoint := ev.Delta().EvalSchedule
 	best := evalPoint(s, plat)
 
 	// Candidate pool: all tasks, or the heaviest ones.

@@ -93,9 +93,9 @@ func ByName(name string, o Options) (Heuristic, error) {
 // RunAll executes every heuristic on g serially, on one evaluator,
 // and returns the results in input order. It is the reference path of
 // the parallel engine in internal/portfolio, which produces exactly
-// the same results (both are built on the NSweeper primitives and
-// CanonicalBetter) while fanning the sweeps out over a worker pool —
-// prefer portfolio.Run wherever a -workers knob makes sense.
+// the same results (both sweep through Kernel and CanonicalBetter)
+// while fanning the sweeps out over a worker pool — prefer
+// portfolio.Run wherever a -workers knob makes sense.
 func RunAll(hs []Heuristic, g *dag.Graph, plat failure.Platform) []Result {
 	ev := core.NewEvaluator()
 	out := make([]Result, 0, len(hs))
@@ -105,16 +105,20 @@ func RunAll(hs []Heuristic, g *dag.Graph, plat failure.Platform) []Result {
 	return out
 }
 
-// Best returns the result with the lowest expected makespan.
+// Best returns the canonical winner of results under CanonicalBetter:
+// lowest expected makespan, then fewest checkpoints, then lowest
+// index — so every engine and tool names the same winner on ties.
 func Best(results []Result) Result {
 	if len(results) == 0 {
 		panic("sched: Best of empty results")
 	}
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.Expected < best.Expected {
-			best = r
+	bi := 0
+	for i := 1; i < len(results); i++ {
+		if CanonicalBetter(
+			results[i].Expected, results[i].Schedule.NumCheckpointed(), i,
+			results[bi].Expected, results[bi].Schedule.NumCheckpointed(), bi) {
+			bi = i
 		}
 	}
-	return best
+	return results[bi]
 }

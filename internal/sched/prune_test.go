@@ -12,9 +12,9 @@ import (
 )
 
 // pruneStrategies is the strategy set the pruned-vs-unpruned harness
-// covers: every N-sweeping strategy, exhaustive and gridded (the two
-// sweepApply code paths), including CkptPer, which has no bounder and
-// must be a transparent no-op under the prune gate.
+// covers: every N-sweeping strategy, exhaustive and gridded (with and
+// without a second stage), including CkptPer, which has no bounder
+// and must sweep identically with or without an incumbent.
 func pruneStrategies() []Strategy {
 	return []Strategy{
 		NewCkptW(0), NewCkptC(0), NewCkptD(0),
@@ -54,16 +54,51 @@ func pruneInstances(t *testing.T) []*dag.Graph {
 	return gs
 }
 
+// unprunedSweep is the kernel with no incumbent: both stages of the
+// sweep, every count evaluated.
+func unprunedSweep(sw NSweeper, g *dag.Graph, p failure.Platform, order []int, ev *core.Evaluator) (*core.Schedule, float64) {
+	k := NewKernel(sw, g, p, order)
+	best := k.Span(k.Stage1(), ev, nil, nil)
+	best.Merge(k.Span(k.Stage2(best.N), ev, nil, nil))
+	return &core.Schedule{Graph: g, Order: order, Ckpt: best.Mask}, best.Val
+}
+
+// coldSweep is the exhaustive cold enumeration of a sweep: every
+// first-stage count, then every count of the second-stage gap around
+// the first-stage winner, each mask built by a fresh masker and
+// evaluated cold, keeping the canonical best.
+func coldSweep(sw NSweeper, g *dag.Graph, p failure.Platform, order []int) (*core.Schedule, float64) {
+	ev := core.NewEvaluator()
+	n := g.N()
+	best := NoCandidate()
+	try := func(N int) {
+		mask := make([]bool, n)
+		sw.NewMasker(g, order)(N, mask)
+		s := &core.Schedule{Graph: g, Order: order, Ckpt: mask}
+		best.Merge(Candidate{Val: ev.Eval(s, p), K: s.NumCheckpointed(), N: N, Mask: mask})
+	}
+	ns := sw.Sweep(n)
+	for _, N := range ns {
+		try(N)
+	}
+	lo, hi := sw.SecondStage(n, best.N, ns)
+	for N := lo; N <= hi; N++ {
+		try(N)
+	}
+	return &core.Schedule{Graph: g, Order: order, Ckpt: best.Mask}, best.Val
+}
+
 // TestPrunedSweepBitIdentical is the pruning differential harness: for
-// every instance × strategy × platform, the bound-pruned (and, for
-// monotone bounds, bisected) sweep must return exactly — Float64bits
-// of the expected makespan, order, checkpoint mask — what the
-// unpruned exhaustive sweep returns. This is the contract that lets
-// pruning default to on without perturbing the canonical winners, the
-// portfolio's worker-count invariance, or wfserve's byte-identical
-// cached responses.
+// every instance × strategy × platform, the bound-pruned sweep
+// (Strategy.Apply, the kernel against an incumbent, on the delta
+// evaluator) must return exactly — Float64bits of the expected
+// makespan, order, checkpoint mask — what the kernel returns with no
+// incumbent and what an exhaustive cold enumeration returns. This is
+// the contract that lets pruning and the delta evaluator serve every
+// sweep without perturbing the canonical winners, the portfolio's
+// worker-count invariance, or wfserve's byte-identical cached
+// responses.
 func TestPrunedSweepBitIdentical(t *testing.T) {
-	defer core.SetPrunePath(core.SetPrunePath(false))
 	ev := core.NewEvaluator()
 	for _, p := range []failure.Platform{
 		{Lambda: 0.01, Downtime: 1},
@@ -72,13 +107,16 @@ func TestPrunedSweepBitIdentical(t *testing.T) {
 		for gi, g := range pruneInstances(t) {
 			order := DF{}.Linearize(g)
 			for _, st := range pruneStrategies() {
-				core.SetPrunePath(false)
-				s0, v0 := st.Apply(g, p, order, ev)
-				core.SetPrunePath(true)
-				s1, v1 := st.Apply(g, p, order, ev)
-				if got, want := applyFingerprint(s1, v1), applyFingerprint(s0, v0); got != want {
-					t.Fatalf("instance %d, %s, λ=%v: pruned sweep diverged\n got %s\nwant %s",
-						gi, st.Name(), p.Lambda, got, want)
+				sw := st.(NSweeper)
+				got := applyFingerprint(st.Apply(g, p, order, ev))
+				for _, ref := range []struct{ name, want string }{
+					{"unpruned kernel", applyFingerprint(unprunedSweep(sw, g, p, order, ev))},
+					{"cold enumeration", applyFingerprint(coldSweep(sw, g, p, order))},
+				} {
+					if got != ref.want {
+						t.Fatalf("instance %d, %s, λ=%v: pruned sweep diverged from the %s\n got %s\nwant %s",
+							gi, st.Name(), p.Lambda, ref.name, got, ref.want)
+					}
 				}
 			}
 		}
@@ -88,51 +126,25 @@ func TestPrunedSweepBitIdentical(t *testing.T) {
 // TestSweepBoundValid pins the inequality everything above rests on:
 // for every N the sweep visits, the strategy's bound is a true lower
 // bound on the computed expected makespan of its schedule at N (up to
-// the PruneSlack margin Prunable discounts by).
+// the PruneSlack margin core.Prunable discounts by).
 func TestSweepBoundValid(t *testing.T) {
 	p := failure.Platform{Lambda: 0.01, Downtime: 1}
 	ev := core.NewEvaluator()
 	for gi, g := range pruneInstances(t)[:12] {
 		order := BF{}.Linearize(g)
 		for _, st := range []Strategy{NewCkptW(0), NewCkptC(0), NewCkptD(0)} {
-			sw := st.(NSweeper)
-			bound, mono := SweepBounder(sw, g, p, order)
-			if bound == nil || !mono {
-				t.Fatalf("instance %d, %s: ranked strategy lost its monotone bounder", gi, st.Name())
-			}
+			sw := st.(BoundedSweeper)
+			bound := sw.NewBounder(g, p, order)
 			masker := sw.NewMasker(g, order)
 			mask := make([]bool, g.N())
 			s := &core.Schedule{Graph: g, Order: order, Ckpt: mask}
-			prev := math.Inf(-1)
 			for _, N := range sw.Sweep(g.N()) {
-				b := bound(N)
-				if b < prev {
-					t.Fatalf("instance %d, %s: bound not monotone at N=%d (%v < %v)",
-						gi, st.Name(), N, b, prev)
-				}
-				prev = b
 				masker(N, mask)
-				if v := ev.Eval(s, p); b*(1-core.PruneSlack) > v {
+				if b, v := bound(N), ev.Eval(s, p); b*(1-core.PruneSlack) > v {
 					t.Fatalf("instance %d, %s, N=%d: bound %v exceeds value %v",
 						gi, st.Name(), N, b, v)
 				}
 			}
 		}
-	}
-}
-
-// TestPrunableSemantics pins the slack arithmetic on its edges.
-func TestPrunableSemantics(t *testing.T) {
-	if Prunable(1, math.Inf(1)) {
-		t.Fatal("infinite incumbent must prune nothing")
-	}
-	if Prunable(5, 5) {
-		t.Fatal("bound equal to incumbent must not prune (ties are wins)")
-	}
-	if Prunable(5*(1+core.PruneSlack/2), 5) {
-		t.Fatal("bound within the slack margin must not prune")
-	}
-	if !Prunable(5*(1+3*core.PruneSlack), 5) {
-		t.Fatal("bound clearly above the incumbent must prune")
 	}
 }

@@ -319,6 +319,21 @@ func TestRunAllAndBest(t *testing.T) {
 			t.Fatalf("%s: result value %v but schedule gives %v", r.Name, r.Expected, got)
 		}
 	}
+
+	// Ties break canonically: fewest checkpoints, then lowest index.
+	tie := dag.Chain([]float64{10, 10}, nil)
+	mk := func(ck ...bool) *core.Schedule {
+		return &core.Schedule{Graph: tie, Order: []int{0, 1}, Ckpt: ck}
+	}
+	tied := []Result{
+		{Name: "a", Expected: 5, Schedule: mk(true, true)},
+		{Name: "b", Expected: 5, Schedule: mk(true, false)},
+		{Name: "c", Expected: 5, Schedule: mk(false, true)},
+		{Name: "d", Expected: 6, Schedule: mk(false, false)},
+	}
+	if got := Best(tied).Name; got != "b" {
+		t.Fatalf("Best = %q on a tie, want \"b\" (fewest checkpoints, lowest index)", got)
+	}
 }
 
 // On failure-heavy workloads the searching heuristics must beat both

@@ -26,10 +26,10 @@ type Strategy interface {
 // NSweeper is a Strategy whose Apply is a search over checkpoint
 // counts N. It exposes the search's building blocks — the sweep's N
 // values, the per-N checkpoint mask, and the optional second-stage
-// scan range — so that external engines (internal/portfolio) can
-// partition the sweep across workers while producing results
-// bit-identical to the serial Apply, which is itself implemented on
-// top of the same primitives (see sweepApply).
+// scan range — which the N-sweep kernel (Kernel) evaluates, so that
+// external engines (internal/portfolio) can partition the sweep
+// across workers while producing results bit-identical to the serial
+// Apply, itself a caller of the same kernel (see sweepApply).
 type NSweeper interface {
 	Strategy
 	// Sweep returns the first-stage checkpoint counts for an n-task
@@ -49,73 +49,23 @@ type NSweeper interface {
 	SecondStage(n, bestN int, ns []int) (lo, hi int)
 }
 
-// DeltaSweepable is implemented by NSweepers that declare their sweep
-// profitable for the incremental evaluator: nearby checkpoint counts
-// produce masks sharing most bits, so core.DeltaEvaluator re-evaluates
-// each step from the previous one instead of cold. Ranked strategies
-// qualify structurally — masks are prefixes of one fixed ranking, so
-// adjacent N differ by exactly one bit, and the sweeps already visit N
-// in ascending order, which is the reuse-maximizing order for prefix
-// masks (every bit flips exactly once across the whole sweep).
-// CkptPer's threshold masks drift with N, so it relies on the
-// evaluator's mask diffing and reload cutoff instead of adjacency.
-// Results are bit-identical with or without the declaration; only the
-// cost changes.
-type DeltaSweepable interface {
-	// DeltaSweep reports whether sweeps should evaluate through
-	// core.DeltaEvaluator.
-	DeltaSweep() bool
-}
-
 // BoundedSweeper is implemented by NSweepers that can cheaply
 // lower-bound the expected makespan of every candidate of their
-// N-sweep. The sweep engines (sweepApply here, sweepCell in
-// internal/portfolio) use the bound to discard candidates that
-// provably lose to an already-evaluated incumbent — the bound of a
-// pruned N exceeds the incumbent's value by more than the
+// N-sweep. The kernel uses the bound to skip candidates that provably
+// lose to an already-evaluated incumbent (core.Prunable): the bound
+// of a pruned N exceeds the incumbent's value by more than the
 // core.PruneSlack floating-point margin, so the candidate could not
-// have beaten it under sched.CanonicalBetter (strictly larger value
-// loses regardless of tie-breaks). Pruning therefore never changes
-// the canonical winner: the serial sweep, the parallel portfolio, the
-// worker-count-invariance contract and wfserve's byte-identical
-// responses all hold bitwise with pruning on or off, which is exactly
-// what the pruned-vs-unpruned differential harness pins.
+// have beaten it under CanonicalBetter (strictly larger value loses
+// regardless of tie-breaks). Pruning therefore never changes the
+// canonical winner, which the pruned-vs-unpruned differential
+// harnesses pin.
 type BoundedSweeper interface {
 	NSweeper
 	// NewBounder returns bound(N) ≤ the expected makespan of the
 	// strategy's schedule at checkpoint count N on (g, plat, order),
-	// valid for every N the sweep visits, plus whether the bound is
-	// non-decreasing in N. A monotone bound makes the pruned set a
-	// suffix of an ascending scan, so the engines locate the prune
-	// cutoff by bisection instead of testing every N. bound must be
-	// O(1) per call after O(n log n) setup.
-	NewBounder(g *dag.Graph, plat failure.Platform, order []int) (bound func(N int) float64, monotone bool)
-}
-
-// SweepBounder returns the strategy's sweep lower bound, or nil when
-// the strategy has none or bound-based pruning is globally disabled
-// (core.SetPrunePath). It is the single gate every pruning consumer
-// routes through, mirroring SweepEvaluator for the delta path.
-func SweepBounder(sw NSweeper, g *dag.Graph, plat failure.Platform, order []int) (bound func(N int) float64, monotone bool) {
-	if !core.PrunePathEnabled() {
-		return nil, false
-	}
-	bs, ok := sw.(BoundedSweeper)
-	if !ok {
-		return nil, false
-	}
-	return bs.NewBounder(g, plat, order)
-}
-
-// Prunable reports whether a candidate with the given lower bound
-// provably loses to an incumbent with the given expected makespan:
-// even after discounting the bound by the PruneSlack floating-point
-// margin it still strictly exceeds the incumbent, so the candidate's
-// computed value would too (and a strictly larger value loses under
-// CanonicalBetter before any tie-break). An infinite incumbent (no
-// candidate evaluated yet) prunes nothing.
-func Prunable(bound, incumbent float64) bool {
-	return bound*(1-core.PruneSlack) > incumbent
+	// valid for every N the sweep visits. bound must be O(1) per call
+	// after O(n log n) setup.
+	NewBounder(g *dag.Graph, plat failure.Platform, order []int) (bound func(N int) float64)
 }
 
 // CanonicalBetter reports whether candidate 1 (expected makespan v1,
@@ -136,110 +86,6 @@ func CanonicalBetter(v1 float64, c1, i1 int, v2 float64, c2, i2 int) bool {
 		return c1 < c2
 	}
 	return i1 < i2
-}
-
-// sweepApply is the serial reference search over an NSweeper's
-// checkpoint counts: first stage over Sweep's N values, then the
-// optional second-stage scan around the winner, keeping the best
-// (value, checkpoints, N) candidate under CanonicalBetter. The
-// portfolio engine partitions exactly this computation; keeping one
-// implementation here guarantees the serial and parallel paths agree
-// bit-for-bit.
-func sweepApply(sw NSweeper, g *dag.Graph, plat failure.Platform, order []int, ev *core.Evaluator) (*core.Schedule, float64) {
-	n := g.N()
-	ns := sw.Sweep(n)
-	if len(ns) == 0 { // n == 1: nothing to search, fall back to never
-		return CkptNvr{}.Apply(g, plat, order, ev)
-	}
-	masker := sw.NewMasker(g, order)
-	mask := make([]bool, n)
-	s := &core.Schedule{Graph: g, Order: order, Ckpt: mask}
-	evalPoint := SweepEvaluator(sw, ev)
-	bound, mono := SweepBounder(sw, g, plat, order)
-	bestVal := math.Inf(1)
-	bestN, bestK := -1, 0
-	var bestMask []bool
-	// eval reports whether the incumbent *value* improved (a tie-break
-	// win keeps bestVal, so the prune cutoff is unchanged).
-	eval := func(N int) bool {
-		masker(N, mask)
-		v := evalPoint(s, plat)
-		k := s.NumCheckpointed()
-		if CanonicalBetter(v, k, N, bestVal, bestK, bestN) {
-			improved := v < bestVal
-			bestVal, bestK, bestN = v, k, N
-			bestMask = append(bestMask[:0], mask...)
-			return improved
-		}
-		return false
-	}
-	// Stage 1. Sweep's ns is strictly increasing, so with a monotone
-	// bound the prunable counts form a suffix of the scan: every
-	// incumbent improvement re-bisects the suffix boundary (hi1), and
-	// reaching a prunable N ends the stage. Non-monotone bounds fall
-	// back to a per-N check. The first candidate always evaluates
-	// (bestVal starts at +Inf), so bestMask is never nil.
-	hi1 := len(ns)
-	for idx := 0; idx < hi1; idx++ {
-		if bound != nil && Prunable(bound(ns[idx]), bestVal) {
-			if mono {
-				break
-			}
-			continue
-		}
-		if eval(ns[idx]) && bound != nil && mono {
-			hi1 = idx + 1 + sort.Search(hi1-idx-1, func(x int) bool {
-				return Prunable(bound(ns[idx+1+x]), bestVal)
-			})
-		}
-	}
-	firstBest := bestN
-	if lo, hi := sw.SecondStage(n, firstBest, ns); lo <= hi {
-		// Scan the gap downward: the first stage ends at its largest
-		// N, so a descending scan starts at the mask nearest the
-		// incremental evaluator's loaded state and proceeds by
-		// single-bit steps. The candidate set is identical and the
-		// comparator is a total order, so the winner (and every
-		// point's value) is the same as for an ascending scan. A
-		// monotone bound makes the pruned counts a prefix of this
-		// descending scan: bisect the largest count still worth
-		// evaluating and start there; per-N checks below catch the
-		// cutoff moving further down as the incumbent improves.
-		start := hi
-		if bound != nil && mono {
-			start = lo + sort.Search(hi-lo+1, func(x int) bool {
-				return Prunable(bound(lo+x), bestVal)
-			}) - 1
-		}
-		for N := start; N >= lo; N-- {
-			if N == firstBest {
-				continue
-			}
-			if bound != nil && Prunable(bound(N), bestVal) {
-				continue
-			}
-			eval(N)
-		}
-	}
-	return &core.Schedule{Graph: g, Order: order, Ckpt: bestMask}, bestVal
-}
-
-// SweepEvaluator returns the per-point evaluation function of a
-// sweep: core's EvalPoint (the incremental DeltaEvaluator behind the
-// global gate) when the strategy declares the sweep delta-profitable,
-// the cold evaluator otherwise. Both produce bit-identical values —
-// the choice affects cost only — so every determinism contract built
-// on the sweep primitives (serial RunAll == parallel portfolio,
-// wfserve cache byte-identity) is preserved no matter which path runs
-// where. The parallel engine's sweep cells use the same helper as the
-// serial sweepApply.
-func SweepEvaluator(sw NSweeper, ev *core.Evaluator) func(*core.Schedule, failure.Platform) float64 {
-	if ds, ok := sw.(DeltaSweepable); ok && ds.DeltaSweep() {
-		return ev.EvalPoint()
-	}
-	return func(s *core.Schedule, plat failure.Platform) float64 {
-		return ev.Eval(s, plat)
-	}
 }
 
 // SweepNs returns the checkpoint counts that the N-searching
@@ -327,10 +173,6 @@ func (r rankedStrategy) Name() string { return r.name }
 // Sweep implements NSweeper.
 func (r rankedStrategy) Sweep(n int) []int { return SweepNs(n, r.grid) }
 
-// DeltaSweep implements DeltaSweepable: prefix masks of a fixed
-// ranking are single-bit adjacent across consecutive N.
-func (rankedStrategy) DeltaSweep() bool { return true }
-
 // NewMasker implements NSweeper: the mask for N is the top-N prefix
 // of the fixed ranking, adjusted incrementally between calls.
 func (r rankedStrategy) NewMasker(g *dag.Graph, order []int) func(N int, mask []bool) {
@@ -376,11 +218,8 @@ func (r rankedStrategy) SecondStage(n, bestN int, ns []int) (lo, hi int) {
 // NewBounder implements BoundedSweeper: the mask for count N is the
 // top-N prefix of the fixed ranking (independent of the
 // linearization), so core.MaskBound reduces to Base plus a prefix sum
-// of the ranked per-task increments — O(1) per N. The increments are
-// clamped non-negative and fl(x+y) ≥ x whenever y ≥ 0, so the
-// computed prefix sums are monotone non-decreasing in N, which lets
-// the sweep engines bisect the prune cutoff.
-func (r rankedStrategy) NewBounder(g *dag.Graph, plat failure.Platform, order []int) (func(N int) float64, bool) {
+// of the ranked per-task increments — O(1) per N.
+func (r rankedStrategy) NewBounder(g *dag.Graph, plat failure.Platform, order []int) func(N int) float64 {
 	mb := core.NewMaskBound(g, plat)
 	ranked := r.rank(g)
 	pre := make([]float64, len(ranked)+1)
@@ -388,7 +227,7 @@ func (r rankedStrategy) NewBounder(g *dag.Graph, plat failure.Platform, order []
 	for j, id := range ranked {
 		pre[j+1] = pre[j] + mb.Inc[id]
 	}
-	return func(N int) float64 { return pre[N] }, true
+	return func(N int) float64 { return pre[N] }
 }
 
 func (r rankedStrategy) Apply(g *dag.Graph, plat failure.Platform, order []int, ev *core.Evaluator) (*core.Schedule, float64) {
@@ -464,12 +303,6 @@ func (CkptPer) Name() string { return "CkptPer" }
 
 // Sweep implements NSweeper.
 func (c CkptPer) Sweep(n int) []int { return SweepNs(n, c.Grid) }
-
-// DeltaSweep implements DeltaSweepable: periodic masks are not
-// prefix-adjacent, but for small N most of the mask is stable and the
-// DeltaEvaluator's diffing (with its reload cutoff for distant masks)
-// still amortizes part of the sweep.
-func (CkptPer) DeltaSweep() bool { return true }
 
 // NewMasker implements NSweeper: the mask for N checkpoints the task
 // completing the earliest after each time threshold x·W/N in a

@@ -85,9 +85,6 @@ func TestCrossValidationDeltaPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical cross-validation skipped in -short mode")
 	}
-	if !core.DeltaPathEnabled() {
-		t.Fatal("delta path unexpectedly disabled")
-	}
 	for _, wf := range []pwg.Workflow{pwg.Montage, pwg.CyberShake} {
 		wf := wf
 		t.Run(wf.String(), func(t *testing.T) {
