@@ -15,8 +15,8 @@ GO ?= go
 	fuzz lint fmt vet cover check serve staticcheck wfvet shuffle govulncheck \
 	profile
 
-# Differential fuzzing of the incremental sweep evaluator (delta vs
-# cold bit-identity plus the Algorithm-1 reference); FUZZTIME bounds
+# Differential fuzzing of the incremental sweep evaluator (bit-identity
+# with a full pass plus the Algorithm-1 reference); FUZZTIME bounds
 # the session. The seed corpus also runs on every plain `go test`.
 FUZZTIME ?= 30s
 fuzz:

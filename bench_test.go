@@ -190,23 +190,9 @@ func BenchmarkSimulator(b *testing.B) {
 // representative cross-validation batch.
 const benchMCTrials = 2000
 
-// BenchmarkMCSerialBatch is the pre-engine baseline: the serial
-// compatibility wrapper running benchMCTrials trials on one core.
-func BenchmarkMCSerialBatch(b *testing.B) {
-	s := benchSchedule(b, 200)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if acc, _ := simulator.Batch(s, plat, 3, benchMCTrials); acc.N() != benchMCTrials {
-			b.Fatal("bad batch")
-		}
-	}
-}
-
-// BenchmarkMCParallel measures the sharded Monte-Carlo engine at the
-// same trial count across worker counts; workers=1 quantifies engine
-// overhead against BenchmarkMCSerialBatch, higher counts the
-// multi-core speedup.
+// BenchmarkMCParallel measures the sharded Monte-Carlo engine at a
+// fixed trial count across worker counts; workers=1 is the serial
+// engine, higher counts the multi-core speedup.
 func BenchmarkMCParallel(b *testing.B) {
 	s := benchSchedule(b, 200)
 	for _, workers := range []int{1, 2, 4, 8} {

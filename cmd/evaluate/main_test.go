@@ -86,6 +86,16 @@ func TestEvaluateErrors(t *testing.T) {
 	if _, err := capture(t, func() error { return run(p, -1, 0, 0, 0, 1, false) }); err == nil {
 		t.Fatal("negative λ accepted")
 	}
+	for name, content := range map[string]string{
+		"cyclic": "task a 1 1 1\ntask b 2 1 1\nedge a b\nedge b a\n",
+		"nan":    "task a NaN 1 1\ntask b 2 1 1\nedge a b\norder a b\n",
+		"inf":    "task a Inf 1 1\ntask b 2 1 1\nedge a b\norder a b\n",
+	} {
+		p := writeWF(t, content)
+		if _, err := capture(t, func() error { return run(p, 1e-3, 0, 0, 0, 1, false) }); err == nil {
+			t.Fatalf("%s workflow accepted", name)
+		}
+	}
 }
 
 // TestEvaluateFlagValidation pins the up-front flag checks: negative

@@ -127,7 +127,12 @@ func run(workflow string, n int, seed uint64, in string, lambda, downtime float6
 			if err != nil {
 				return err
 			}
+			// The text parser checks references only; acyclicity and
+			// finite costs are Validate's job (dax.Parse calls it).
 			g = parsed.Graph
+			if err := g.Validate(); err != nil {
+				return err
+			}
 		}
 	} else {
 		wf, err := pwg.ParseWorkflow(workflow)

@@ -149,6 +149,23 @@ func TestRunErrors(t *testing.T) {
 	}); err == nil {
 		t.Fatal("missing input file accepted")
 	}
+	// Text workflows the parser accepts but Graph.Validate must reject.
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"cyclic": "task a 1 1 1\ntask b 2 1 1\nedge a b\nedge b a\n",
+		"nan":    "task a NaN 1 1\ntask b 2 1 1\nedge a b\norder a b\n",
+		"inf":    "task a Inf 1 1\ntask b 2 1 1\nedge a b\norder a b\n",
+	} {
+		in := filepath.Join(dir, name+".wf")
+		if err := os.WriteFile(in, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := silent(func() error {
+			return run("", 0, 1, in, 0, 0, "keep", "all", 0, 0, 0, false, false, "")
+		}); err == nil {
+			t.Fatalf("%s workflow accepted", name)
+		}
+	}
 }
 
 // The acceptance pin of the portfolio determinism contract at the CLI

@@ -29,9 +29,7 @@
 // (Seed, Trials, ShardSize), never Workers. The engine is generic
 // over a per-shard trial runner; internal/simulator provides
 // factories for the paper's blocking model, arbitrary inter-failure
-// laws (Weibull robustness studies) and non-blocking checkpointing,
-// and its Batch helper remains a serial single-stream compatibility
-// wrapper that reproduces the historical results bit for bit.
+// laws (Weibull robustness studies) and non-blocking checkpointing.
 //
 // # The portfolio engine
 //
@@ -56,38 +54,44 @@
 //
 // The portfolio's hot path is the checkpoint-count sweep: adjacent
 // sweep points of a ranked strategy differ by a single flipped
-// checkpoint bit, yet each point used to pay a full O(n²) Theorem 3
-// evaluation (O(n³) per sweep, transcendental-bound). core's
-// expectedMakespan is therefore factorized — every exp/expm1 depends
-// on a single lost-set entry or task constant, combined by running
-// products — and core.DeltaEvaluator persists the lost-set matrix,
-// the per-entry factors, the running products and per-row placement
-// records between evaluations. A flip at position j reuses rows k ≤ j
-// verbatim, resumes affected rows mid-row at the flip's recorded
-// placement point, recomputes transcendentals only for genuinely
-// changed entries, and rebuilds the accumulator suffix with plain
-// multiplications — O(n²) amortized flops per sweep step and results
-// that are bit-identical (math.Float64bits) to a cold Evaluator.Eval,
-// so every determinism contract below holds on it. Native fuzz plus
-// testing/quick differential harnesses (internal/core), an exhaustive
-// cold enumeration every sweep must match (internal/sched),
-// Monte-Carlo cross-validation of delta-produced schedules
+// checkpoint bit, yet a full O(n²) Theorem 3 pass per point costs
+// O(n³) per sweep, transcendental-bound. core.Evaluator is therefore
+// one evaluator with one pass: the expectation pass is factorized —
+// every exp/expm1 depends on a single lost-set entry or task constant,
+// combined by running products — and the evaluator keeps the
+// lost-set matrix, the per-entry factors, the running products and
+// per-row placement records between evaluations. Eval always runs the
+// full pass; EvalSchedule reuses the loaded state when only a few
+// checkpoint bits changed (fewer than n/2, same graph, order and
+// platform) and runs the full pass otherwise. A flip at position j
+// reuses rows k ≤ j verbatim, resumes affected rows mid-row at the
+// flip's recorded placement point, recomputes transcendentals only for
+// genuinely changed entries, and rebuilds the accumulator suffix with
+// plain multiplications — O(n²) amortized flops per sweep step and
+// results bit-identical (math.Float64bits) to the full pass, so every
+// determinism contract below holds on it. Native fuzz plus
+// testing/quick differential harnesses against a second evaluator and
+// core.EvalReference (internal/core), an exhaustive enumeration of
+// full passes every sweep must match (internal/sched), Monte-Carlo
+// cross-validation of incrementally produced schedules
 // (internal/simulator) and a worker-count byte-identity regression on
 // cmd/wfsched -refine enforce the equivalence; BENCH_sweep.json
 // records the measured speedups (≥3× on BenchmarkPortfolioParallel at
 // n = 700, ~6× on a full exhaustive sweep). Every N-sweep evaluates
 // through it (sched.Kernel), refine.ImproveWith and sched.CkptGreedy
-// use it for their one-bit neighbourhoods, and internal/portfolio
-// leases the delta state with its evaluators.
+// use it for their one-bit neighbourhoods (refine's swap probes pay a
+// full load), and internal/portfolio leases the state with its
+// evaluators. Each evaluator holds ≈52·(n+1)² bytes (26 MB at
+// n = 700), a one-shot core.Eval included.
 //
 // # Allocation discipline and bound-based pruning
 //
-// Both evaluators keep their O(n²) state in flat arenas — one backing
-// array per matrix, carved into row views — sized once per
-// (graph, schedule) shape and reused across evaluations, so the hot
-// paths are allocation-free: a warm delta flip and a warm cold Eval
-// run at 0 allocs/op, and a fresh evaluator sizes itself in a small
-// constant number of allocations. testing.AllocsPerRun gates in
+// The evaluator carves its O(n²) matrices and O(n) vectors out of a
+// few shared arenas — one flat backing array per element type, split
+// into row views — sized once per (graph, schedule) shape and reused
+// across evaluations, so the hot paths are allocation-free: a warm
+// flip and a warm full Eval run at 0 allocs/op, and a fresh evaluator
+// sizes itself in a small constant number of allocations. testing.AllocsPerRun gates in
 // internal/core pin all three on every plain `go test ./...`.
 //
 // On top of the evaluators, the N-sweeps prune provably losing
@@ -104,8 +108,8 @@
 // bit-identical to the unpruned sweep — pinned by differential
 // harnesses in internal/sched, internal/portfolio and internal/refine
 // against in-package references (the kernel with no incumbent, an
-// exhaustive cold enumeration, the climb with no bound) across the
-// four DAG families, all strategies and worker counts.
+// exhaustive enumeration of full passes, the climb with no bound)
+// across the four DAG families, all strategies and worker counts.
 // refine.ImproveWith reuses the same bound to skip provably rejected
 // add-checkpoint flips without spending evaluation budget.
 //
@@ -188,7 +192,7 @@
 // between computed floats and no switch on float tags in engine
 // packages; candidate ordering goes through sched.CanonicalBetter,
 // bit-identity through math.Float64bits), and evalshare (no
-// *core.Evaluator/*core.DeltaEvaluator captured by a go literal,
+// *core.Evaluator, under any alias, captured by a go literal,
 // passed to a go call or sent on a channel — workers lease their own
 // via the portfolio pool). A justified exception is annotated in
 // place with `//wfvet:<analyzer> <reason>`; the reason is mandatory,
@@ -211,6 +215,6 @@
 // The benchmarks in bench_test.go regenerate one data point of every
 // figure (fig2a..fig7d) plus micro-benchmarks of the evaluator, the
 // simulator, the generators and both parallel engines
-// (BenchmarkMCParallel vs BenchmarkMCSerialBatch,
-// BenchmarkPortfolioParallel vs BenchmarkPortfolioSerial).
+// (BenchmarkMCParallel across worker counts, BenchmarkPortfolioParallel
+// vs BenchmarkPortfolioSerial).
 package repro

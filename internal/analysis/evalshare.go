@@ -5,10 +5,10 @@ import (
 	"go/types"
 )
 
-// EvalShare flags a *core.Evaluator or *core.DeltaEvaluator value
-// that crosses a goroutine boundary directly — captured by a `go`
-// function literal, passed as a `go` call argument, used as a `go`
-// method receiver, or sent on a channel. Evaluators are stateful
+// EvalShare flags a *core.Evaluator value (under any alias, such as
+// core.DeltaEvaluator) that crosses a goroutine boundary directly —
+// captured by a `go` function literal, passed as a `go` call argument,
+// used as a `go` method receiver, or sent on a channel. Evaluators are stateful
 // (every Eval overwrites their buffers), so internal/portfolio/pool.go
 // documents the ownership rule: an evaluator is owned by exactly one
 // goroutine at a time, and workers obtain theirs through the pool's
@@ -28,8 +28,8 @@ var EvalShare = &Analyzer{
 	Waiver: "evalshare",
 	Doc: `flag evaluators crossing goroutine boundaries outside the portfolio pool lease API
 
-core.Evaluator and core.DeltaEvaluator are single-owner: every Eval
-overwrites shared buffers. Workers must lease their own evaluator via
+core.Evaluator (alias core.DeltaEvaluator) is single-owner: every
+Eval overwrites shared buffers. Workers must lease their own evaluator via
 the portfolio pool (get/put or forEach) inside the goroutine instead
 of capturing one from the spawning scope or receiving one on a
 channel. core.FactorTable is read-only after construction and may be
@@ -39,25 +39,28 @@ flagged instead. Waive a justified exception with
 	Run: runEvalShare,
 }
 
-// evaluatorTypeNames are the single-owner types of the core package.
-var evaluatorTypeNames = map[string]bool{
-	"Evaluator":      true,
-	"DeltaEvaluator": true,
-}
-
+// isEvaluatorPtr reports whether t is *core.Evaluator. Aliases (such
+// as core.DeltaEvaluator) are resolved first, so every name of the
+// type is caught.
 func isEvaluatorPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
 	}
-	named, ok := ptr.Elem().(*types.Named)
+	return isCoreNamed(ptr.Elem(), "Evaluator")
+}
+
+// isCoreNamed reports whether t, with aliases resolved, is the named
+// type core.<name>.
+func isCoreNamed(t types.Type, name string) bool {
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil &&
 		lastSegment(obj.Pkg().Path()) == "core" &&
-		evaluatorTypeNames[obj.Name()]
+		obj.Name() == name
 }
 
 // isFactorTable reports whether t is core.FactorTable or a pointer to
@@ -68,14 +71,7 @@ func isFactorTable(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil &&
-		lastSegment(obj.Pkg().Path()) == "core" &&
-		obj.Name() == "FactorTable"
+	return isCoreNamed(t, "FactorTable")
 }
 
 func runEvalShare(pass *Pass) error {

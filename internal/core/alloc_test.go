@@ -6,7 +6,7 @@ import (
 
 // The evaluator hot paths are allocation-free by design: all O(n²)
 // state lives in flat arenas sized once per (graph, schedule) shape
-// and reused across calls (see the memory notes in delta.go). These
+// and reused across calls (see the memory notes on Evaluator). These
 // gates run under plain `go test ./...` so a regression shows up in
 // every CI run, not only when someone reads benchmark output.
 
@@ -16,14 +16,14 @@ import (
 func TestDeltaFlipAllocFree(t *testing.T) {
 	for _, n := range []int{100, 700} {
 		s, p := benchDeltaSetup(t, n)
-		dv := NewDeltaEvaluator()
-		dv.EvalSchedule(s, p) // cold load sizes the arenas
+		ev := NewEvaluator()
+		ev.EvalSchedule(s, p) // the full load sizes the arenas
 		i := 0
 		allocs := testing.AllocsPerRun(100, func() {
 			id := (i * 17) % n
 			i++
 			s.Ckpt[id] = !s.Ckpt[id]
-			if v := dv.EvalSchedule(s, p); v <= 0 {
+			if v := ev.EvalSchedule(s, p); v <= 0 {
 				t.Fatal("bad makespan")
 			}
 		})
@@ -33,9 +33,9 @@ func TestDeltaFlipAllocFree(t *testing.T) {
 	}
 }
 
-// TestColdEvalWarmAllocFree pins the cold evaluator's steady state:
-// after the first Eval has sized its arenas, re-evaluating schedules
-// of the same shape (any mask, any order) allocates nothing.
+// TestColdEvalWarmAllocFree pins the full pass's steady state: after
+// the first Eval has sized its arenas, re-evaluating schedules of the
+// same shape (any mask, any order) allocates nothing.
 func TestColdEvalWarmAllocFree(t *testing.T) {
 	s, p := benchDeltaSetup(t, 300)
 	ev := NewEvaluator()
@@ -50,15 +50,15 @@ func TestColdEvalWarmAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm cold Eval allocates %.1f allocs/op, want 0", allocs)
+		t.Errorf("warm Eval allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
 // TestSharedTableAllocs pins the shared factor-table path the pooled
 // engines use: warm evals with an installed table stay at zero
 // allocs/op, and constructing an evaluator *from a shared table*
-// costs strictly fewer allocations than cold construction (cold must
-// build its own table — the shared path skips exactly that).
+// costs strictly fewer allocations than self-built construction (which
+// must build its own table — the shared path skips exactly that).
 func TestSharedTableAllocs(t *testing.T) {
 	s, p := benchDeltaSetup(t, 300)
 	tab := NewFactorTable(s.Graph, p)
@@ -79,7 +79,7 @@ func TestSharedTableAllocs(t *testing.T) {
 		t.Errorf("warm Eval with shared table allocates %.1f allocs/op, want 0", warm)
 	}
 
-	cold := testing.AllocsPerRun(10, func() {
+	own := testing.AllocsPerRun(10, func() {
 		e := NewEvaluator()
 		if v := e.Eval(s, p); v <= 0 {
 			t.Fatal("bad makespan")
@@ -92,8 +92,8 @@ func TestSharedTableAllocs(t *testing.T) {
 			t.Fatal("bad makespan")
 		}
 	})
-	if shared >= cold {
-		t.Errorf("shared-table construction costs %.1f allocs, cold %.1f: want strictly fewer", shared, cold)
+	if shared >= own {
+		t.Errorf("shared-table construction costs %.1f allocs, self-built %.1f: want strictly fewer", shared, own)
 	}
 }
 
@@ -112,6 +112,6 @@ func TestEvaluatorColdAllocBudget(t *testing.T) {
 		}
 	})
 	if allocs > budget {
-		t.Errorf("fresh evaluator cold Eval: %.1f allocs, budget %d", allocs, budget)
+		t.Errorf("fresh evaluator Eval: %.1f allocs, budget %d", allocs, budget)
 	}
 }

@@ -32,19 +32,19 @@ func benchDeltaSetup(b testing.TB, n int) (*Schedule, failure.Platform) {
 
 // BenchmarkDeltaFlip measures one single-bit incremental re-evaluation
 // — the inner step of a checkpoint-count sweep — against
-// BenchmarkEvaluator's cold evaluation of the same instance size.
+// BenchmarkEvaluator's full pass at the same instance size.
 func BenchmarkDeltaFlip(b *testing.B) {
 	for _, n := range []int{100, 700} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			s, p := benchDeltaSetup(b, n)
-			dv := NewDeltaEvaluator()
-			dv.EvalSchedule(s, p)
+			ev := NewEvaluator()
+			ev.EvalSchedule(s, p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id := (i * 17) % n
 				s.Ckpt[id] = !s.Ckpt[id]
-				if v := dv.EvalSchedule(s, p); v <= 0 {
+				if v := ev.EvalSchedule(s, p); v <= 0 {
 					b.Fatal("bad makespan")
 				}
 			}

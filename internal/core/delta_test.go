@@ -41,21 +41,22 @@ func identOrder(n int) []int {
 	return order
 }
 
-// checkDeltaStep asserts DeltaEvaluator output is bit-identical to a
-// cold Evaluator.Eval of the same schedule.
-func checkDeltaStep(t *testing.T, dv *DeltaEvaluator, cold *Evaluator, s *Schedule, p failure.Platform, step string) {
+// checkDeltaStep asserts that ev.EvalSchedule, which reuses ev's
+// loaded state, is bit-identical to a full pass (Eval) of the same
+// schedule on a second evaluator.
+func checkDeltaStep(t *testing.T, ev, full *Evaluator, s *Schedule, p failure.Platform, step string) {
 	t.Helper()
-	got := dv.EvalSchedule(s, p)
-	want := cold.Eval(s, p)
+	got := ev.EvalSchedule(s, p)
+	want := full.Eval(s, p)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("%s: delta %v (%016x) != cold %v (%016x)",
+		t.Fatalf("%s: incremental %v (%016x) != full %v (%016x)",
 			step, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }
 
 // TestDeltaMatchesColdFlipSequences drives random DAGs through long
-// random flip sequences and demands bit-identity with cold evaluation
-// on every step — the tentpole's core contract.
+// random flip sequences and demands bit-identity with a full pass on
+// every step — the incremental path's core contract.
 func TestDeltaMatchesColdFlipSequences(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		r := rng.New(seed * 977)
@@ -69,9 +70,9 @@ func TestDeltaMatchesColdFlipSequences(t *testing.T) {
 			mask[i] = r.Float64() < 0.3
 		}
 		s := &Schedule{Graph: g, Order: order, Ckpt: mask}
-		dv := NewDeltaEvaluator()
-		cold := NewEvaluator()
-		checkDeltaStep(t, dv, cold, s, p, "initial")
+		ev := NewEvaluator()
+		full := NewEvaluator()
+		checkDeltaStep(t, ev, full, s, p, "initial")
 		for step := 0; step < 60; step++ {
 			switch r.Intn(10) {
 			case 0:
@@ -87,7 +88,7 @@ func TestDeltaMatchesColdFlipSequences(t *testing.T) {
 			default:
 				mask[r.Intn(n)] = !mask[r.Intn(n)]
 			}
-			checkDeltaStep(t, dv, cold, s, p, "flip step")
+			checkDeltaStep(t, ev, full, s, p, "flip step")
 		}
 	}
 }
@@ -111,18 +112,57 @@ func TestDeltaMatchesColdRankedSweep(t *testing.T) {
 		// Rank by task id (any fixed ranking exercises the pattern).
 		mask := make([]bool, n)
 		s := &Schedule{Graph: g, Order: order, Ckpt: mask}
-		dv := NewDeltaEvaluator()
-		cold := NewEvaluator()
+		ev := NewEvaluator()
+		full := NewEvaluator()
 		for N := 0; N < n; N++ {
 			if N > 0 {
 				mask[N-1] = true
 			}
-			checkDeltaStep(t, dv, cold, s, p, "sweep up")
+			checkDeltaStep(t, ev, full, s, p, "sweep up")
 		}
 		for N := n - 1; N > 0; N-- {
 			mask[N-1] = false
-			checkDeltaStep(t, dv, cold, s, p, "sweep down")
+			checkDeltaStep(t, ev, full, s, p, "sweep down")
 		}
+	}
+}
+
+// swapAdjacent returns a copy of order with the first adjacent pair of
+// independent tasks at or after position from (wrapping around)
+// swapped — refine's swap move, so the result is again a
+// linearization — and whether such a pair exists (if not, the copy is
+// unchanged).
+func swapAdjacent(g *dag.Graph, order []int, from int) ([]int, bool) {
+	out := append([]int(nil), order...)
+	n := len(out)
+	for d := 0; d+1 < n; d++ {
+		i := (from + d) % (n - 1)
+		dep := false
+		for _, q := range g.Preds(out[i+1]) {
+			if q == out[i] {
+				dep = true
+			}
+		}
+		if !dep {
+			out[i], out[i+1] = out[i+1], out[i]
+			return out, true
+		}
+	}
+	return out, false
+}
+
+// TestDeltaAliasIsEvaluator pins the former incremental API that
+// cmd/wfbench still calls: it is the Evaluator itself.
+func TestDeltaAliasIsEvaluator(t *testing.T) {
+	ev := NewEvaluator()
+	if ev.Delta() != ev {
+		t.Fatal("Delta() does not return its receiver")
+	}
+	var dv *DeltaEvaluator = NewDeltaEvaluator()
+	s := &Schedule{Graph: randomDAG(rng.New(3), 9), Order: identOrder(9), Ckpt: make([]bool, 9)}
+	p := failure.Platform{Lambda: 1e-2}
+	if got, want := dv.EvalSchedule(s, p), ev.Eval(s, p); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("alias evaluator %v != %v", got, want)
 	}
 }
 
@@ -135,28 +175,14 @@ func TestDeltaReload(t *testing.T) {
 	g2 := randomDAG(r, 24)
 	o1 := identOrder(20)
 	o2 := identOrder(24)
-	// A second valid linearization of g1: swap two adjacent
-	// independent positions if possible, else reuse o1.
-	o1b := append([]int(nil), o1...)
-	for i := 0; i+1 < len(o1b); i++ {
-		dep := false
-		for _, q := range g1.Preds(o1b[i+1]) {
-			if q == o1b[i] {
-				dep = true
-			}
-		}
-		if !dep {
-			o1b[i], o1b[i+1] = o1b[i+1], o1b[i]
-			break
-		}
-	}
+	o1b, _ := swapAdjacent(g1, o1, 0)
 	if !g1.IsLinearization(o1b) {
 		t.Fatal("o1b is not a linearization")
 	}
 	p1 := failure.Platform{Lambda: 1e-3}
 	p2 := failure.Platform{Lambda: 1e-2, Downtime: 3}
-	dv := NewDeltaEvaluator()
-	cold := NewEvaluator()
+	ev := NewEvaluator()
+	full := NewEvaluator()
 	mk := func(g *dag.Graph, o []int, bits uint) *Schedule {
 		mask := make([]bool, g.N())
 		for i := range mask {
@@ -177,12 +203,12 @@ func TestDeltaReload(t *testing.T) {
 		{mk(g1, o1, 0b1010), p1},  // back to the first graph
 	}
 	for i, st := range steps {
-		checkDeltaStep(t, dv, cold, st.s, st.p, "reload step")
+		checkDeltaStep(t, ev, full, st.s, st.p, "reload step")
 		_ = i
 	}
-	// Invalidate forces a cold path but identical bits.
-	dv.Invalidate()
-	checkDeltaStep(t, dv, cold, steps[0].s, steps[0].p, "after invalidate")
+	// Invalidate forces a full pass but identical bits.
+	ev.Invalidate()
+	checkDeltaStep(t, ev, full, steps[0].s, steps[0].p, "after invalidate")
 }
 
 // TestDeltaFailureFree pins the λ = 0 short-circuit.
@@ -191,18 +217,18 @@ func TestDeltaFailureFree(t *testing.T) {
 	g := randomDAG(r, 15)
 	s := &Schedule{Graph: g, Order: identOrder(15), Ckpt: make([]bool, 15)}
 	s.Ckpt[3] = true
-	dv := NewDeltaEvaluator()
-	cold := NewEvaluator()
+	ev := NewEvaluator()
+	full := NewEvaluator()
 	p := failure.Platform{Lambda: 0}
-	checkDeltaStep(t, dv, cold, s, p, "failure-free")
+	checkDeltaStep(t, ev, full, s, p, "failure-free")
 	s.Ckpt[7] = true
-	checkDeltaStep(t, dv, cold, s, p, "failure-free flip")
+	checkDeltaStep(t, ev, full, s, p, "failure-free flip")
 }
 
 // TestDeltaQuickProperty is the testing/quick leg: arbitrary seeds
 // drive random (DAG, mask, flip) triples; the property is bit-identity
-// of delta and cold evaluation plus agreement with the Algorithm-1
-// reference within tolerance.
+// of incremental and full evaluation plus agreement with the
+// Algorithm-1 reference within tolerance.
 func TestDeltaQuickProperty(t *testing.T) {
 	prop := func(seed uint64, flips []uint8) bool {
 		r := rng.New(seed%100000 + 1)
@@ -212,15 +238,15 @@ func TestDeltaQuickProperty(t *testing.T) {
 		p := failure.Platform{Lambda: 1e-3 * (1 + float64(seed%7))}
 		mask := make([]bool, n)
 		s := &Schedule{Graph: g, Order: order, Ckpt: mask}
-		dv := NewDeltaEvaluator()
-		cold := NewEvaluator()
+		ev := NewEvaluator()
+		full := NewEvaluator()
 		if len(flips) > 24 {
 			flips = flips[:24]
 		}
 		for _, f := range append([]uint8{0}, flips...) {
 			mask[int(f)%n] = !mask[int(f)%n]
-			got := dv.EvalSchedule(s, p)
-			want := cold.Eval(s, p)
+			got := ev.EvalSchedule(s, p)
+			want := full.Eval(s, p)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				return false
 			}

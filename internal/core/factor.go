@@ -24,9 +24,9 @@ import (
 // evalshare analyzer sanctions exactly this — sharing the table is
 // allowed, writing to its fields outside this file is a finding.
 //
-// The factor values are computed with the byte-for-byte expressions
-// the evaluators previously used inline, so results with and without
-// a shared table are bit-identical (the differential tests pin this).
+// A table's bits depend only on (graph, platform), so results with a
+// shared table and with an evaluator's self-built one are
+// bit-identical (the differential tests pin this).
 type FactorTable struct {
 	graph *dag.Graph
 	plat  failure.Platform
@@ -43,13 +43,14 @@ type FactorTable struct {
 // to pay it once per instance instead of once per evaluator load.
 func NewFactorTable(g *dag.Graph, p failure.Platform) *FactorTable {
 	n := g.N()
+	buf := make([]float64, 4*n)
 	t := &FactorTable{
 		graph: g,
 		plat:  p,
-		fw:    make([]float64, n),
-		fc:    make([]float64, n),
-		cm0:   make([]float64, n),
-		cm0c:  make([]float64, n),
+		fw:    buf[:n:n],
+		fc:    buf[n : 2*n : 2*n],
+		cm0:   buf[2*n : 3*n : 3*n],
+		cm0c:  buf[3*n:],
 	}
 	if !p.FailureFree() {
 		lambda := p.Lambda
@@ -68,7 +69,7 @@ func NewFactorTable(g *dag.Graph, p failure.Platform) *FactorTable {
 
 // Matches reports whether the table was built for exactly this
 // (graph, platform) pair. Graph identity is by pointer, like the
-// DeltaEvaluator's cache identity: mutating a graph's tasks after
+// Evaluator's loaded-state identity: mutating a graph's tasks after
 // building a table for it makes the table stale (build a new one).
 func (t *FactorTable) Matches(g *dag.Graph, p failure.Platform) bool {
 	return t != nil && t.graph == g && t.plat == p
@@ -81,12 +82,7 @@ func (t *FactorTable) Matches(g *dag.Graph, p failure.Platform) bool {
 // transcendentals. Installing a table for a different instance than
 // the one evaluated is harmless — it is ignored and replaced by a
 // self-built table on the next evaluation.
-func (e *Evaluator) SetFactorTable(t *FactorTable) {
-	e.table = t
-	if e.delta != nil {
-		e.delta.table = t
-	}
-}
+func (e *Evaluator) SetFactorTable(t *FactorTable) { e.table = t }
 
 // ensureTable returns a factor table matching (g, p): the installed
 // or previously built one when it matches, a freshly built (and
@@ -96,18 +92,4 @@ func (e *Evaluator) ensureTable(g *dag.Graph, p failure.Platform) *FactorTable {
 		e.table = NewFactorTable(g, p)
 	}
 	return e.table
-}
-
-// ensureTable is the DeltaEvaluator's variant: it prefers the cold
-// parent's table (pooled engines install shared tables on the parent)
-// before building its own.
-func (d *DeltaEvaluator) ensureTable(g *dag.Graph, p failure.Platform) *FactorTable {
-	if !d.table.Matches(g, p) {
-		if d.cold != nil && d.cold.table.Matches(g, p) {
-			d.table = d.cold.table
-		} else {
-			d.table = NewFactorTable(g, p)
-		}
-	}
-	return d.table
 }

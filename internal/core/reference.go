@@ -223,12 +223,11 @@ func LostSetsReference(s *Schedule) [][]float64 {
 }
 
 // LostSets exposes the same matrix computed by the optimized
-// traversal used by Eval, for cross-checking in tests.
+// traversal used by Evaluator, for cross-checking in tests.
 func LostSets(s *Schedule) [][]float64 {
 	n := s.Graph.N()
 	e := NewEvaluator()
-	e.load(s)
-	e.computeLostSets(n)
+	e.loadLost(s)
 	out := make([][]float64, n+1)
 	out[0] = make([]float64, n+1)
 	for k := 1; k <= n; k++ {

@@ -9,6 +9,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -175,15 +176,18 @@ func (g *Graph) OutWeight(id int) float64 {
 var ErrCycle = errors.New("dag: graph contains a cycle")
 
 // Validate checks structural invariants: at least one task, no cycle,
-// non-negative weights and costs. It returns nil when the graph is a
-// well-formed workflow.
+// finite non-negative weights and costs. It returns nil when the graph
+// is a well-formed workflow.
 func (g *Graph) Validate() error {
 	if len(g.tasks) == 0 {
 		return errors.New("dag: empty graph")
 	}
 	for i, t := range g.tasks {
-		if t.Weight < 0 || t.CkptCost < 0 || t.RecCost < 0 {
-			return fmt.Errorf("dag: task %d (%s) has negative weight/cost", i, g.Name(i))
+		for _, v := range [...]float64{t.Weight, t.CkptCost, t.RecCost} {
+			// !(v >= 0) also catches NaN, which every comparison fails.
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("dag: task %d (%s) has a negative or non-finite weight/cost", i, g.Name(i))
+			}
 		}
 	}
 	if _, err := g.TopoSort(); err != nil {

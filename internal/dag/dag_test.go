@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,6 +120,20 @@ func TestValidate(t *testing.T) {
 	g.AddTask(Task{Weight: -1})
 	if err := g.Validate(); err == nil {
 		t.Fatal("negative weight validated")
+	}
+	for _, bad := range []Task{
+		{Weight: math.NaN()},
+		{Weight: math.Inf(1)},
+		{Weight: 1, CkptCost: math.NaN()},
+		{Weight: 1, CkptCost: math.Inf(1)},
+		{Weight: 1, RecCost: math.Inf(-1)},
+		{Weight: 1, RecCost: math.NaN()},
+	} {
+		g := New()
+		g.AddTask(bad)
+		if err := g.Validate(); err == nil {
+			t.Fatalf("non-finite task %+v validated", bad)
+		}
 	}
 	if err := diamond().Validate(); err != nil {
 		t.Fatalf("diamond should validate: %v", err)

@@ -25,8 +25,7 @@
 // (simulator.Factory), arbitrary inter-failure laws
 // (simulator.FactoryWithGaps) and the non-blocking checkpointing
 // extension (simulator.NonBlockingFactory), which keeps this package
-// free of a dependency cycle and lets simulator.Batch remain a thin
-// compatibility wrapper over the engine.
+// free of a dependency cycle.
 package mc
 
 import (

@@ -18,9 +18,9 @@ import (
 // # Why donation cannot change the answer
 //
 // Every candidate is a pure function of its (heuristic, N) pair: the
-// order slice is shared and read-only, the evaluators are
-// bit-identical to cold evaluation regardless of their loaded state,
-// and bound-pruning only ever skips candidates that are provably
+// order slice is shared and read-only, an evaluator returns the bits
+// of a full Theorem-3 pass whatever state it has loaded, and
+// bound-pruning only ever skips candidates that are provably
 // beaten by an already-evaluated candidate of the same heuristic. A
 // donation changes only *which worker* evaluates each N — never the
 // candidate set — and the reduction folds completed spans in a fixed
@@ -30,8 +30,8 @@ import (
 // the determinism stress test pins under the race detector.
 
 // minSpan is the smallest N-range a donation may hand off. Below ~8
-// values the per-span overhead (masker build, one cold-equivalent
-// delta load) outweighs the parallelism gained.
+// values the per-span overhead (masker build, one full evaluator
+// load) outweighs the parallelism gained.
 const minSpan = 8
 
 // span is one schedulable unit: a contiguous slice of heuristic h's

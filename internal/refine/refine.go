@@ -74,16 +74,14 @@ func improve(s *core.Schedule, plat failure.Platform, opt Options, ev *core.Eval
 	if budget <= 0 {
 		budget = 50 * n
 	}
-	// The checkpoint-flip neighbourhood toggles one bit per candidate
-	// — the exact access pattern core.DeltaEvaluator amortizes, so
-	// flips evaluate through it (≈5× cheaper per candidate at the
-	// paper's large sizes). Swap candidates change the linearization,
-	// which would force the incremental evaluator to reload its O(n²)
-	// caches per candidate, so the order neighbourhood keeps the cold
-	// evaluator. Both produce bit-identical values, so every
-	// accept/reject decision is the same either way.
-	flipEval := ev.Delta().EvalSchedule
-	res := Result{Start: ev.Eval(cur, plat)}
+	// Every candidate evaluates through ev.EvalSchedule. A flip toggles
+	// one bit of the loaded schedule, which it re-evaluates
+	// incrementally (≈5× cheaper per candidate at the paper's large
+	// sizes). A swap changes the linearization, so each swap probe pays
+	// a full pass, and the first flip after a rejected swap reloads the
+	// reverted order. Values are bit-identical either way, so every
+	// accept/reject decision is too.
+	res := Result{Start: ev.EvalSchedule(cur, plat)}
 	res.Evals = 1
 	best := res.Start
 	curLB := 0.0
@@ -100,7 +98,7 @@ func improve(s *core.Schedule, plat failure.Platform, opt Options, ev *core.Eval
 				continue // provably rejected: v ≥ bound > best
 			}
 			cur.Ckpt[id] = !cur.Ckpt[id]
-			v := flipEval(cur, plat)
+			v := ev.EvalSchedule(cur, plat)
 			res.Evals++
 			if v < best-1e-12*best {
 				best = v
@@ -127,7 +125,7 @@ func improve(s *core.Schedule, plat failure.Platform, opt Options, ev *core.Eval
 				continue
 			}
 			cur.Order[p], cur.Order[p+1] = b, a
-			v := ev.Eval(cur, plat)
+			v := ev.EvalSchedule(cur, plat)
 			res.Evals++
 			if v < best-1e-12*best {
 				best = v

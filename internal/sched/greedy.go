@@ -40,10 +40,9 @@ func (c CkptGreedy) Apply(g *dag.Graph, plat failure.Platform, order []int, ev *
 	mask := make([]bool, n)
 	s := &core.Schedule{Graph: g, Order: order, Ckpt: mask}
 	// Every probe below toggles a single checkpoint bit — exactly the
-	// access pattern the incremental evaluator amortizes, with values
-	// bit-identical to cold evaluation.
-	evalPoint := ev.Delta().EvalSchedule
-	best := evalPoint(s, plat)
+	// access pattern EvalSchedule's incremental path amortizes, with
+	// values bit-identical to a full pass.
+	best := ev.EvalSchedule(s, plat)
 
 	// Candidate pool: all tasks, or the heaviest ones.
 	pool := make([]int, n)
@@ -77,7 +76,7 @@ func (c CkptGreedy) Apply(g *dag.Graph, plat failure.Platform, order []int, ev *
 				continue
 			}
 			mask[id] = true
-			v := evalPoint(s, plat)
+			v := ev.EvalSchedule(s, plat)
 			mask[id] = false
 			if v < bestVal {
 				bestVal = v

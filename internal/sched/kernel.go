@@ -104,9 +104,9 @@ func (k *Kernel) Stage1() []int { return k.ns }
 // Stage2 returns the second-stage counts around the first stage's
 // winner bestN, bestN excluded, in descending order (empty when the
 // strategy has no second stage). The first stage ends at its largest
-// N, so a descending scan starts at the mask nearest the delta
-// evaluator's loaded state and proceeds by single-bit steps; the
-// candidate set, and hence the winner, does not depend on the order.
+// N, so a descending scan starts at the mask nearest the evaluator's
+// loaded state and proceeds by single-bit steps; the candidate set,
+// and hence the winner, does not depend on the order.
 func (k *Kernel) Stage2(bestN int) []int {
 	lo, hi := k.sw.SecondStage(k.g.N(), bestN, k.ns)
 	var ns []int
@@ -118,9 +118,10 @@ func (k *Kernel) Stage2(bestN int) []int {
 	return ns
 }
 
-// Span evaluates the checkpoint counts ns on ev's delta companion
-// (bit-identical to cold evaluation, cheap because nearby counts share
-// most mask bits) and returns their canonical best.
+// Span evaluates the checkpoint counts ns with ev.EvalSchedule, which
+// re-evaluates incrementally from ev's loaded state (cheap because
+// nearby counts share most mask bits; the value equals a full pass's),
+// and returns their canonical best.
 //
 // With a non-nil inc, each N whose bound is prunable against the
 // shared incumbent is skipped, and a span whose every N is prunable
@@ -150,7 +151,6 @@ func (k *Kernel) Span(ns []int, ev *core.Evaluator, inc *Incumbent, handoff func
 	masker := k.sw.NewMasker(k.g, k.order)
 	mask := make([]bool, k.g.N())
 	s := &core.Schedule{Graph: k.g, Order: k.order, Ckpt: mask}
-	eval := ev.Delta().EvalSchedule
 	for ; i < len(ns); i++ {
 		if handoff != nil {
 			if back := ns[i+(len(ns)-i+1)/2:]; len(back) > 0 && handoff(back) {
@@ -165,7 +165,7 @@ func (k *Kernel) Span(ns []int, ev *core.Evaluator, inc *Incumbent, handoff func
 			continue
 		}
 		masker(N, mask)
-		v := eval(s, k.plat)
+		v := ev.EvalSchedule(s, k.plat)
 		c := s.NumCheckpointed()
 		if CanonicalBetter(v, c, N, best.Val, best.K, best.N) {
 			best.Val, best.K, best.N = v, c, N

@@ -68,7 +68,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"mime"
 	"net/http"
 	"net/url"
@@ -512,22 +511,12 @@ func (s *Server) validate(req *Request, f *wfio.File) error {
 	if n := f.Graph.N(); n > s.cfg.MaxTasks {
 		return badRequest("workflow has %d tasks, limit is %d", n, s.cfg.MaxTasks)
 	}
-	// The wfio parsers check references, not acyclicity — that is
-	// normally Schedule()'s job, but here the service builds the
-	// schedule, so it vets the DAG before the engines see it.
+	// The wfio parsers check references, not acyclicity or finite
+	// costs (the text binding's ParseFloat accepts "NaN" and "Inf") —
+	// that is normally Schedule()'s job, but here the service builds
+	// the schedule, so it vets the DAG before the engines see it.
 	if err := f.Graph.Validate(); err != nil {
 		return badRequest("%v", err)
-	}
-	// Graph.Validate only rejects negative weights; NaN/Inf (the text
-	// binding's ParseFloat accepts "Inf") would burn a full search
-	// and then fail at response encoding.
-	for i := 0; i < f.Graph.N(); i++ {
-		t := f.Graph.Task(i)
-		for _, v := range [...]float64{t.Weight, t.CkptCost, t.RecCost} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return badRequest("task %q has non-finite or negative weight/cost", f.Graph.Name(i))
-			}
-		}
 	}
 	plat := failure.Platform{Lambda: req.Lambda, Downtime: req.Downtime}
 	if err := plat.Validate(); err != nil {

@@ -410,8 +410,8 @@ func TestRequestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown query key: status %d", resp.StatusCode)
 	}
-	// Non-finite weights pass ParseFloat and Graph.Validate but must
-	// not reach the engines (they would fail only at JSON encoding).
+	// Non-finite weights pass ParseFloat; Graph.Validate must stop
+	// them before the engines (they would fail only at JSON encoding).
 	for _, wf := range []string{"task a Inf\n", "task a NaN\n", "task a 1 Inf\n"} {
 		resp, err = http.Post(ts.URL+"/v1/schedule", "text/plain", strings.NewReader(wf))
 		if err != nil {

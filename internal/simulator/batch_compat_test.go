@@ -10,9 +10,28 @@ import (
 	"repro/internal/stats"
 )
 
-// legacySerialBatch is the pre-engine Batch implementation, kept
-// verbatim as the compatibility oracle: one simulator, one RNG
-// stream, trials run back to back on one goroutine.
+// serialBatch runs trials back to back in a single mc shard whose
+// runner, built by f, draws from rng.New(seed) — the draws of one
+// simulator looping on one goroutine — and returns the makespan
+// statistics plus the average failure count per run.
+func serialBatch(t testing.TB, s *core.Schedule, plat failure.Platform, f mc.Factory, seed uint64, trials int) (stats.Accumulator, float64) {
+	t.Helper()
+	res, err := mc.Run(s, plat, mc.Config{
+		Trials:    trials,
+		Workers:   1,
+		ShardSize: trials,
+		Factory:   f,
+		Stream:    func(_, _ uint64) *rng.Source { return rng.New(seed) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Makespan, float64(res.TotalFailures) / float64(trials)
+}
+
+// legacySerialBatch is the pre-engine serial batch, kept verbatim as
+// an independent oracle: one simulator, one RNG stream, trials run
+// back to back on one goroutine.
 func legacySerialBatch(s *core.Schedule, plat failure.Platform, seed uint64, trials int) (stats.Accumulator, float64) {
 	sim := New(plat, rng.New(seed))
 	var makespan stats.Accumulator
@@ -29,42 +48,15 @@ func legacySerialBatch(s *core.Schedule, plat failure.Platform, seed uint64, tri
 	return makespan, avgFailures
 }
 
-// TestBatchMatchesLegacySerial: the Batch wrapper over the mc engine
-// must reproduce the pre-refactor serial results bit for bit at a
-// pinned seed — same draws, same accumulator, same average.
-func TestBatchMatchesLegacySerial(t *testing.T) {
-	for _, seed := range []uint64{1, 99, 31337} {
-		s, plat := randomScheduledDAG(seed*11+3, 8)
-		wantAcc, wantAvg := legacySerialBatch(s, plat, seed, 3000)
-		gotAcc, gotAvg := Batch(s, plat, seed, 3000)
-		if gotAcc != wantAcc {
-			t.Fatalf("seed %d: accumulator diverged:\n got %v\nwant %v",
-				seed, gotAcc.String(), wantAcc.String())
-		}
-		if gotAvg != wantAvg {
-			t.Fatalf("seed %d: avg failures %v, want %v", seed, gotAvg, wantAvg)
-		}
-	}
-}
-
-// TestBatchZeroTrials keeps the historical empty-batch behaviour.
-func TestBatchZeroTrials(t *testing.T) {
-	s, plat := randomScheduledDAG(7, 5)
-	acc, avg := Batch(s, plat, 1, 0)
-	if acc.N() != 0 || avg != 0 {
-		t.Fatalf("zero-trial batch produced data: %v avg=%v", acc.String(), avg)
-	}
-}
-
 // TestEngineMatchesBatchStatistically: the parallel engine draws
-// different streams than the serial wrapper, but on the same schedule
+// different streams than the serial loop, but on the same schedule
 // the two means must agree within combined Monte-Carlo error.
 func TestEngineMatchesBatchStatistically(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical comparison skipped in -short mode")
 	}
 	s, plat := randomScheduledDAG(21, 9)
-	serial, _ := Batch(s, plat, 12, 20000)
+	serial, _ := legacySerialBatch(s, plat, 12, 20000)
 	res, err := mc.Run(s, plat, mc.Config{
 		Trials: 20000, Seed: 12, Factory: Factory()})
 	if err != nil {

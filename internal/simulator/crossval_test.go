@@ -76,11 +76,12 @@ func randomScheduledDAG(seed uint64, n int) (*core.Schedule, failure.Platform) {
 // TestCrossValidationDeltaPath Monte-Carlo-validates schedules that
 // were produced through the incremental sweep evaluator, at the same
 // tolerance as the serial path: the portfolio (whose ranked sweeps
-// evaluate via core.DeltaEvaluator) picks winners on generator
-// workflows, and the winners' analytic expectations must match the
-// mechanistic fault-injection simulator. Together with the flip-level
-// validation below, this pins that the delta fast path feeds
-// downstream consumers exactly the physics the simulator implements.
+// evaluate incrementally via core.Evaluator.EvalSchedule) picks
+// winners on generator workflows, and the winners' analytic
+// expectations must match the mechanistic fault-injection simulator.
+// Together with the flip-level validation below, this pins that the
+// incremental path feeds downstream consumers exactly the physics the
+// simulator implements.
 func TestCrossValidationDeltaPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical cross-validation skipped in -short mode")
@@ -101,14 +102,18 @@ func TestCrossValidationDeltaPath(t *testing.T) {
 			res := portfolio.Run(hs, g, plat, portfolio.Options{Workers: 2})
 			win := portfolio.Best(res)
 			// The winner's expectation must re-evaluate identically
-			// through both evaluators before the statistical check.
-			cold := core.Eval(win.Schedule, plat)
-			dv := core.NewDeltaEvaluator()
-			if got := dv.EvalSchedule(win.Schedule, plat); math.Float64bits(got) != math.Float64bits(cold) {
-				t.Fatalf("delta %v != cold %v on the winner", got, cold)
+			// by a full pass and incrementally from a one-bit
+			// neighbour before the statistical check.
+			full := core.Eval(win.Schedule, plat)
+			ev := core.NewEvaluator()
+			near := win.Schedule.Clone()
+			near.Ckpt[0] = !near.Ckpt[0]
+			ev.Eval(near, plat)
+			if got := ev.EvalSchedule(win.Schedule, plat); math.Float64bits(got) != math.Float64bits(full) {
+				t.Fatalf("incremental %v != full pass %v on the winner", got, full)
 			}
-			if math.Float64bits(cold) != math.Float64bits(win.Expected) {
-				t.Fatalf("portfolio expectation %v != re-evaluated %v", win.Expected, cold)
+			if math.Float64bits(full) != math.Float64bits(win.Expected) {
+				t.Fatalf("portfolio expectation %v != re-evaluated %v", win.Expected, full)
 			}
 			mcRes, err := mc.Run(win.Schedule, plat, mc.Config{
 				Trials: 40000, Seed: 99, Factory: Factory()})
@@ -118,7 +123,7 @@ func TestCrossValidationDeltaPath(t *testing.T) {
 			acc := mcRes.Makespan
 			tol := 4.5*acc.CI(0.99) + 1e-9
 			if diff := math.Abs(acc.Mean() - win.Expected); diff > tol {
-				t.Fatalf("%s: MC %v ± %v vs delta-path analytic %v (diff %v)",
+				t.Fatalf("%s: MC %v ± %v vs incremental-path analytic %v (diff %v)",
 					wf, acc.Mean(), acc.CI(0.99), win.Expected, diff)
 			}
 		})
@@ -134,14 +139,14 @@ func TestCrossValidationDeltaFlips(t *testing.T) {
 		t.Skip("statistical cross-validation skipped in -short mode")
 	}
 	s, plat := randomScheduledDAG(4242, 10)
-	dv := core.NewDeltaEvaluator()
+	ev := core.NewEvaluator()
 	r := rng.New(5)
 	for step := 0; step < 4; step++ {
 		if step > 0 {
 			id := r.Intn(10)
 			s.Ckpt[id] = !s.Ckpt[id]
 		}
-		want := dv.EvalSchedule(s, plat)
+		want := ev.EvalSchedule(s, plat)
 		res, err := mc.Run(s, plat, mc.Config{
 			Trials: 40000, Seed: uint64(step)*31 + 7, Factory: Factory()})
 		if err != nil {
@@ -150,7 +155,7 @@ func TestCrossValidationDeltaFlips(t *testing.T) {
 		acc := res.Makespan
 		tol := 4.5*acc.CI(0.99) + 1e-9
 		if diff := math.Abs(acc.Mean() - want); diff > tol {
-			t.Fatalf("step %d: MC %v ± %v vs delta analytic %v (diff %v)",
+			t.Fatalf("step %d: MC %v ± %v vs incremental analytic %v (diff %v)",
 				step, acc.Mean(), acc.CI(0.99), want, diff)
 		}
 	}

@@ -5,9 +5,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/failure"
-	"repro/internal/mc"
-	"repro/internal/rng"
 )
 
 // This file implements the paper's first "future direction":
@@ -188,30 +185,3 @@ func (nb *NBSimulator) work(w float64) error {
 // checkpoints at workflow completion, so the barrier stays disabled;
 // the constant documents the choice.
 const nbQueueIdleBarrier = false
-
-// BatchNonBlocking runs the schedule trials times under non-blocking
-// checkpointing and returns the mean makespan.
-//
-// Like Batch it is a serial compatibility wrapper over the mc engine
-// (one shard, reusing the caller's simulator and its RNG stream).
-// Parallel non-blocking batches go through mc.Run with
-// NonBlockingFactory.
-func BatchNonBlocking(s *core.Schedule, sim *Simulator, alpha float64, trials int) float64 {
-	nb := NewNonBlocking(sim, alpha) // validates alpha up front, as before
-	if trials <= 0 {
-		return 0
-	}
-	// The factory reuses the caller's simulator (and thus its RNG
-	// stream), so the engine's derived shard source is ignored — with
-	// a single shard that reproduces the legacy serial draw sequence.
-	res, err := mc.Run(s, sim.plat, mc.Config{
-		Trials:    trials,
-		Workers:   1,
-		ShardSize: trials,
-		Factory:   func(failure.Platform, *rng.Source) mc.Runner { return nbRunner{nb} },
-	})
-	if err != nil {
-		panic("simulator: " + err.Error())
-	}
-	return res.Makespan.Mean()
-}

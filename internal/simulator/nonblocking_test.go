@@ -61,8 +61,9 @@ func TestNonBlockingBeatsBlockingOnAverage(t *testing.T) {
 	}
 	p := failure.Platform{Lambda: 0.002, Downtime: 1}
 	const trials = 40000
-	blocking, _ := Batch(s, p, 7, trials)
-	nbMean := BatchNonBlocking(s, New(p, rng.New(7)), 0.2, trials)
+	blocking, _ := serialBatch(t, s, p, Factory(), 7, trials)
+	nb, _ := serialBatch(t, s, p, NonBlockingFactory(0.2), 7, trials)
+	nbMean := nb.Mean()
 	// Non-blocking at modest slowdown should beat blocking: the same
 	// protection with most of the checkpoint latency hidden.
 	if nbMean >= blocking.Mean() {
@@ -152,10 +153,11 @@ func TestNonBlockingApproachesBlockingAsAlphaGrows(t *testing.T) {
 	s := nbSchedule(t)
 	p := failure.Platform{Lambda: 0.003}
 	const trials = 20000
-	blocking, _ := Batch(s, p, 3, trials)
+	blocking, _ := serialBatch(t, s, p, Factory(), 3, trials)
 	prev := 0.0
 	for _, alpha := range []float64{0.0, 0.5, 0.9} {
-		m := BatchNonBlocking(s, New(p, rng.New(3)), alpha, trials)
+		nb, _ := serialBatch(t, s, p, NonBlockingFactory(alpha), 3, trials)
+		m := nb.Mean()
 		if m < prev-1e-9 {
 			t.Fatalf("mean decreased as α grew: %v after %v", m, prev)
 		}

@@ -89,7 +89,7 @@ func TestMonteCarloSingleTask(t *testing.T) {
 	g.AddTask(dag.Task{Weight: 40, CkptCost: 6, RecCost: 5})
 	s := mustSchedule(t, g, []int{0}, []bool{true})
 	p := failure.Platform{Lambda: 0.02, Downtime: 3}
-	acc, _ := Batch(s, p, 99, 200000)
+	acc, _ := serialBatch(t, s, p, Factory(), 99, 200000)
 	want := core.Eval(s, p)
 	if diff := math.Abs(acc.Mean() - want); diff > 4*acc.CI(0.99) {
 		t.Fatalf("MC mean %v ± %v vs analytic %v", acc.Mean(), acc.CI(0.99), want)
@@ -146,7 +146,7 @@ func TestMonteCarloMatchesAnalyticEvaluator(t *testing.T) {
 			t.Parallel()
 			s := mustSchedule(t, c.g, c.order, c.ckpt)
 			want := core.Eval(s, c.plat)
-			acc, _ := Batch(s, c.plat, 1234, 60000)
+			acc, _ := serialBatch(t, s, c.plat, Factory(), 1234, 60000)
 			tol := 4*acc.CI(0.99) + 1e-9
 			if diff := math.Abs(acc.Mean() - want); diff > tol {
 				t.Fatalf("MC mean %v ± %v vs analytic %v (diff %v)",
@@ -164,8 +164,8 @@ func TestSimulatedCheckpointsHelp(t *testing.T) {
 	p := failure.Platform{Lambda: 0.005, Downtime: 0}
 	all := mustSchedule(t, g, []int{0, 1, 2, 3}, []bool{true, true, true, true})
 	none := mustSchedule(t, g, []int{0, 1, 2, 3}, make([]bool, 4))
-	aAll, _ := Batch(all, p, 5, 20000)
-	aNone, _ := Batch(none, p, 5, 20000)
+	aAll, _ := serialBatch(t, all, p, Factory(), 5, 20000)
+	aNone, _ := serialBatch(t, none, p, Factory(), 5, 20000)
 	if aAll.Mean() >= aNone.Mean() {
 		t.Fatalf("checkpoints did not help: all=%v none=%v", aAll.Mean(), aNone.Mean())
 	}
@@ -174,9 +174,9 @@ func TestSimulatedCheckpointsHelp(t *testing.T) {
 func TestBatchStats(t *testing.T) {
 	g := dag.Chain([]float64{5, 5}, dag.UniformCosts(0.1))
 	s := mustSchedule(t, g, []int{0, 1}, []bool{false, false})
-	acc, avgFail := Batch(s, failure.Platform{Lambda: 0.01}, 11, 1000)
+	acc, avgFail := serialBatch(t, s, failure.Platform{Lambda: 0.01}, Factory(), 11, 1000)
 	if acc.N() != 1000 {
-		t.Fatalf("Batch ran %d trials", acc.N())
+		t.Fatalf("batch ran %d trials", acc.N())
 	}
 	if avgFail < 0 {
 		t.Fatalf("avgFailures = %v", avgFail)
@@ -224,7 +224,7 @@ func TestFailureRateSanity(t *testing.T) {
 	g := dag.Chain([]float64{100, 100}, dag.UniformCosts(0.1))
 	s := mustSchedule(t, g, []int{0, 1}, []bool{true, true})
 	p := failure.Platform{Lambda: 0.003, Downtime: 0}
-	acc, avgFail := Batch(s, p, 21, 30000)
+	acc, avgFail := serialBatch(t, s, p, Factory(), 21, 30000)
 	want := p.Lambda * acc.Mean()
 	if avgFail < want*0.8 || avgFail > want*1.2 {
 		t.Fatalf("avg failures %v, want ≈ λ·E[T] = %v", avgFail, want)
